@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeComponents -fuzztime $(FUZZTIME) ./internal/ior/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/cdr/
 	$(GO) test -run '^$$' -fuzz FuzzConnReadLoop -fuzztime $(FUZZTIME) ./internal/orb/
+	$(GO) test -run '^$$' -fuzz FuzzFramerChunking -fuzztime $(FUZZTIME) ./internal/orb/
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCDR -fuzztime $(FUZZTIME) ./internal/gentest/
 	$(GO) test -run '^$$' -fuzz FuzzBroadcastRingHeader -fuzztime $(FUZZTIME) ./internal/shmem/
 

@@ -65,8 +65,10 @@ type conn struct {
 	// into single gather writes (guarded by sendMu).
 	dsegs [][]byte
 
-	// rhdr is the header read scratch, owned by the read loop.
-	rhdr [giop.HeaderSize]byte
+	// rd frames the inbound control stream; owned by whichever reader
+	// drives the connection (readLoop, or the engine's servicing
+	// dispatcher).
+	rd framer
 
 	closed atomic.Bool
 
@@ -173,6 +175,7 @@ func newConn(o *ORB, tc transport.Conn, isServer bool) *conn {
 		c.pending[i].m = make(map[uint32]chan *replyMsg)
 	}
 	c.onLeaseExpire = c.markDataDown
+	c.rd.o = o
 	return c
 }
 
@@ -343,8 +346,9 @@ func (c *conn) deliver(msg *replyMsg) {
 	ch <- msg
 }
 
-// errTooLarge marks messages rejected by the configured size bound; the
-// read loop answers them with a GIOP MessageError.
+// errTooLarge marks messages over the configured size bound: inbound
+// ones are answered with a GIOP MessageError, outbound ones fail the
+// send.
 type errTooLarge struct {
 	size int64
 	max  int
@@ -728,52 +732,6 @@ func (c *conn) sendFragmented(t giop.MsgType, body []byte, thresh, max int) erro
 	return nil
 }
 
-// readMessage reads one logical GIOP message into a pooled body
-// buffer, reassembling 1.1-style fragments. Every declared size is
-// checked against the ORB's configured bound before any allocation, so
-// a corrupt or hostile header cannot drive an arbitrary allocation;
-// violations surface as *errTooLarge, which the read loop converts
-// into a GIOP MessageError.
-func (c *conn) readMessage() (giop.Header, []byte, error) {
-	hdr, err := giop.ReadHeaderBuf(c.ctrl, c.rhdr[:])
-	if err != nil {
-		return hdr, nil, err
-	}
-	max := c.orb.maxMessageSize()
-	if int64(hdr.Size) > int64(max) {
-		return hdr, nil, &errTooLarge{size: int64(hdr.Size), max: max}
-	}
-	body := c.orb.getBody(int(hdr.Size))
-	if _, err := io.ReadFull(c.ctrl, body); err != nil {
-		c.orb.putBody(body)
-		return hdr, nil, fmt.Errorf("orb: reading %v body: %w", hdr.Type, err)
-	}
-	more := hdr.MoreFragments()
-	for more {
-		fh, err := giop.ReadHeaderBuf(c.ctrl, c.rhdr[:])
-		if err != nil {
-			c.orb.putBody(body)
-			return hdr, nil, err
-		}
-		if fh.Type != giop.MsgFragment {
-			c.orb.putBody(body)
-			return hdr, nil, fmt.Errorf("orb: expected Fragment, got %v", fh.Type)
-		}
-		if int64(len(body))+int64(fh.Size) > int64(max) {
-			c.orb.putBody(body)
-			return hdr, nil, &errTooLarge{size: int64(len(body)) + int64(fh.Size), max: max}
-		}
-		off := len(body)
-		body = append(body, make([]byte, fh.Size)...)
-		if _, err := io.ReadFull(c.ctrl, body[off:]); err != nil {
-			c.orb.putBody(body)
-			return hdr, nil, fmt.Errorf("orb: reading fragment: %w", err)
-		}
-		more = fh.MoreFragments()
-	}
-	return hdr, body, nil
-}
-
 // resolveData returns the data channel carrying deposits referenced by
 // token. Clients own their channel; servers look the token up in the
 // registry (waiting out the cross-socket race).
@@ -948,24 +906,42 @@ func releaseAll(bufs []*zcbuf.Buffer) {
 }
 
 // readLoop processes inbound messages until the connection dies — the
-// goroutine-per-connection tier. The event engine feeds the same
-// handleMessage from its dispatcher pool instead.
+// goroutine-per-connection tier, and the only reader of client conns
+// and of transports without a raw socket. The event engine drives the
+// same framer with nonblocking reads instead.
 func (c *conn) readLoop() {
 	for {
-		hdr, body, err := c.readMessage()
+		n, err := io.ReadFull(c.ctrl, c.rd.next())
 		if err != nil {
-			var tl *errTooLarge
-			if errors.As(err, &tl) {
-				c.protocolError("%v", tl)
+			c.frameFailed(err)
+			return
+		}
+		done, err := c.rd.advance(n)
+		if err != nil {
+			c.frameFailed(err)
+			return
+		}
+		if done {
+			hdr, body := c.rd.take()
+			if !c.handleMessage(hdr, body, false) {
 				return
 			}
-			c.close(err)
-			return
-		}
-		if !c.handleMessage(hdr, body, false) {
-			return
 		}
 	}
+}
+
+// frameFailed ends a connection whose read side failed; only the
+// reader driving c.rd may call it. A framing violation (*errFrame) is
+// answered with MessageError before the close, so the peer learns why;
+// an I/O error only closes.
+func (c *conn) frameFailed(err error) {
+	c.rd.release()
+	var fe *errFrame
+	if errors.As(err, &fe) {
+		c.protocolError("%v", fe.err)
+		return
+	}
+	c.close(err)
 }
 
 // handleMessage processes one complete logical GIOP message (fragments
@@ -1126,11 +1102,6 @@ func (c *conn) handleMessage(hdr giop.Header, body []byte, inline bool) bool {
 	case giop.MsgMessageError:
 		c.freeInline(dec, body)
 		c.close(errors.New("orb: peer reported message error"))
-		return false
-
-	case giop.MsgFragment:
-		c.freeInline(dec, body)
-		c.protocolError("unexpected Fragment")
 		return false
 
 	default:

@@ -3,6 +3,7 @@ package orb
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -120,10 +121,8 @@ func TestOversizeMessageRejected(t *testing.T) {
 	if _, err := c.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	// Server drops the connection.
-	if _, err := readFullDeadline(c, make([]byte, giop.HeaderSize)); err == nil {
-		t.Fatal("server accepted an oversized message")
-	}
+	// Server answers MessageError and drops the connection.
+	expectMessageErrorThenEOF(t, c)
 }
 
 func TestCloseConnectionFromClientSide(t *testing.T) {
@@ -338,5 +337,85 @@ func TestLocateRequestWireLevel(t *testing.T) {
 	}
 	if lrep.RequestID != 99 || lrep.Status != giop.LocateObjectHere {
 		t.Fatalf("locate reply %+v", lrep)
+	}
+}
+
+// expectMessageErrorThenEOF asserts the server's answer to a framing
+// violation: one MessageError header, then the connection closes.
+func expectMessageErrorThenEOF(t *testing.T, c transport.Conn) {
+	t.Helper()
+	var raw [giop.HeaderSize]byte
+	if _, err := readFullDeadline(c, raw[:]); err != nil {
+		t.Fatalf("no MessageError before close: %v", err)
+	}
+	rh, err := giop.DecodeHeader(raw[:])
+	if err != nil {
+		t.Fatalf("server sent malformed header % x: %v", raw, err)
+	}
+	if rh.Type != giop.MsgMessageError || rh.Size != 0 {
+		t.Fatalf("got %v (size %d), want empty MessageError", rh.Type, rh.Size)
+	}
+	if _, err := readFullDeadline(c, make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("after MessageError: %v, want EOF", err)
+	}
+}
+
+// TestMalformedFrameTierParity locks the one framing contract both
+// server tiers share: every malformed frame — bad header fields, a
+// size over the bound, or a broken fragment train — is answered with
+// MessageError and then a close.
+func TestMalformedFrameTierParity(t *testing.T) {
+	const max = 1 << 16
+	frame := func(h giop.Header, body []byte) []byte {
+		h.Major, h.Size = 1, uint32(len(body))
+		var b [giop.HeaderSize]byte
+		giop.EncodeHeader(b[:], h)
+		return append(b[:], body...)
+	}
+	header := func(h giop.Header) []byte {
+		h.Major = 1
+		var b [giop.HeaderSize]byte
+		giop.EncodeHeader(b[:], h)
+		return b[:]
+	}
+	request := giop.Header{Type: giop.MsgRequest}
+	openTrain := giop.Header{Type: giop.MsgRequest, Flags: giop.FlagMoreFragments}
+	cases := []struct {
+		name   string
+		stream []byte
+	}{
+		{"bad magic", append([]byte("GIOX"), header(request)[4:]...)},
+		{"bad major version", func() []byte {
+			b := header(request)
+			b[4] = 2
+			return b
+		}()},
+		{"unknown message type", func() []byte {
+			b := header(request)
+			b[7] = byte(giop.MsgFragment) + 1
+			return b
+		}()},
+		{"size above giop.MaxMessageSize", func() []byte {
+			b := header(request)
+			binary.BigEndian.PutUint32(b[8:], giop.MaxMessageSize+1)
+			return b
+		}()},
+		{"leading Fragment", header(giop.Header{Type: giop.MsgFragment, Size: 4})},
+		{"non-Fragment inside a train", append(frame(openTrain, make([]byte, 8)),
+			header(giop.Header{Type: giop.MsgRequest, Size: 8})...)},
+		{"train total over MaxMessageSize", append(frame(openTrain, make([]byte, max/2+1)),
+			header(giop.Header{Type: giop.MsgFragment, Size: max / 2})...)},
+	}
+	for _, engine := range []bool{false, true} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("engine=%v/%s", engine, tc.name), func(t *testing.T) {
+				o := startServer(t, Options{Engine: engine, MaxMessageSize: max})
+				c := dialRaw(t, o)
+				if _, err := c.Write(tc.stream); err != nil {
+					t.Fatal(err)
+				}
+				expectMessageErrorThenEOF(t, c)
+			})
+		}
 	}
 }

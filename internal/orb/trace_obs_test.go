@@ -148,6 +148,12 @@ func TestTracePropagation(t *testing.T) {
 			t.Errorf("deposit_send parented on %x, want root span %x", s.Parent, root.Span)
 		}
 	}
+	// The server records reply_send once the reply is written, which
+	// can be after the client has already returned.
+	deadline := time.Now().Add(5 * time.Second)
+	for st.SpanCount(trace.KindReplySend) < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	// The server joined the same trace via the service context.
 	serverJoined := 0
 	for _, s := range st.Spans() {
