@@ -62,8 +62,10 @@ type conn struct {
 	hdrBuf [giop.HeaderSize]byte
 	segs   [2][]byte
 	// dsegs batches plain deposit segments around kernel-assist sends
-	// into single gather writes (guarded by sendMu).
+	// into single gather writes; zsegs holds the segment list of one
+	// zero-copy run (both guarded by sendMu).
 	dsegs [][]byte
+	zsegs [][]byte
 
 	// rd frames the inbound control stream; owned by whichever reader
 	// drives the connection (readLoop, or the engine's servicing
@@ -472,11 +474,10 @@ func (c *conn) send(t giop.MsgType, body []byte, deposits []depositSeg,
 }
 
 // writeDepositsLocked transmits deposit segments on the data channel
-// (sendMu held). Plain segments batch into gather writes; pooled
-// buffers at or above the channel's zero-copy threshold go through
-// MSG_ZEROCOPY with completion-gated lease release; file-backed
-// segments go disk→wire with sendfile. kzc reports whether any
-// kernel-assist path was taken.
+// (sendMu held). Plain segments batch into gather writes; runs of
+// zero-copy-eligible segments go through MSG_ZEROCOPY with
+// completion-gated lease release; file-backed segments go disk→wire
+// with sendfile. kzc reports whether any kernel-assist path was taken.
 func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, err error) {
 	for i := 0; i < len(deposits); i++ {
 		seg := &deposits[i]
@@ -492,37 +493,25 @@ func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, er
 				return n, kzc, err
 			}
 			kzc = true
-		case seg.buf != nil && c.zcw != nil && len(seg.b) >= c.zcw.ZeroCopyThreshold():
+		case c.zcEligible(seg):
 			if err = c.flushDsegsLocked(); err != nil {
 				return n, kzc, err
 			}
-			// Coalesce a run of consecutive zero-copy-eligible segments
-			// into one vectored MSG_ZEROCOPY send: one syscall, one
+			// A run of consecutive zero-copy-eligible segments, one or
+			// more, is one vectored MSG_ZEROCOPY send: one syscall, one
 			// completion sequence, N pinned buffers.
 			j := i + 1
-			for j < len(deposits) {
-				s := &deposits[j]
-				if s.buf == nil || s.file != nil || len(s.b) < c.zcw.ZeroCopyThreshold() {
-					break
-				}
+			for j < len(deposits) && c.zcEligible(&deposits[j]) {
 				j++
 			}
-			if zgw, ok := c.zcw.(transport.ZeroCopyGatherWriter); ok && j-i >= 2 && c.orb.leaseTTL() > 0 {
-				var m int64
-				m, err = c.sendZCRunLocked(zgw, deposits[i:j])
-				n += m
-				if err != nil {
-					return n, kzc, err
-				}
-				kzc = true
-				i = j - 1
-				continue
-			}
-			if err = c.sendZCSeg(seg); err != nil {
+			var m int64
+			m, err = c.sendZCRunLocked(deposits[i:j])
+			n += m
+			if err != nil {
 				return n, kzc, err
 			}
-			n += int64(len(seg.b))
 			kzc = true
+			i = j - 1
 		default:
 			b := seg.b
 			if seg.file != nil {
@@ -539,6 +528,16 @@ func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, er
 	return n, kzc, c.flushDsegsLocked()
 }
 
+// zcEligible reports whether seg goes out with kernel zero-copy: a
+// pooled buffer at or above the channel's zero-copy threshold, with
+// deposit leases enabled. Completion-gated release needs the lease
+// sweeper as its backstop, so without leases the segment joins the
+// plain gather write instead.
+func (c *conn) zcEligible(seg *depositSeg) bool {
+	return seg.buf != nil && seg.file == nil && c.zcw != nil &&
+		c.orb.leaseTTL() > 0 && len(seg.b) >= c.zcw.ZeroCopyThreshold()
+}
+
 // flushDsegsLocked drains the batched plain segments in one gather
 // write (sendMu held).
 func (c *conn) flushDsegsLocked() error {
@@ -548,52 +547,6 @@ func (c *conn) flushDsegsLocked() error {
 	_, err := c.data.WriteGather(c.dsegs...)
 	clear(c.dsegs)
 	c.dsegs = c.dsegs[:0]
-	return err
-}
-
-// sendZCSeg sends one pooled-buffer segment with kernel zero-copy: a
-// lease pins the buffer until the MSG_ZEROCOPY completion settles it
-// (release-on-completion, not on write-return), with the lease sweeper
-// as the backstop when a completion is lost or merely slower than the
-// TTL. Expiry runs onLeaseExpire (markDataDown → data.Close) BEFORE
-// the sweeper releases the buffer, and the kzc transport turns that
-// close into an abort (RST) while completions are outstanding, purging
-// the send queue so the kernel holds no reference to the buffer's
-// pages by the time they return to the pool for reuse. A connection
-// that cannot zero-copy surfaces transport.ErrZeroCopyUnavailable,
-// which the caller's errDataWrite handling turns into the
-// marshaled-path fallback.
-func (c *conn) sendZCSeg(seg *depositSeg) error {
-	o := c.orb
-	ttl := o.leaseTTL()
-	if ttl <= 0 {
-		// Completion-gated release needs the sweeper as its backstop;
-		// without leases the segment takes the plain copying write.
-		_, err := c.data.Write(seg.b)
-		return err
-	}
-	lid := o.leases.GrantNotify(seg.buf, time.Now().Add(ttl), c.onLeaseExpire, c.segNotify(seg))
-	ok, err := c.zcw.WriteZeroCopy(seg.b, func(copied bool) {
-		if o.leases.Settle(lid) {
-			o.stats.KzcCompletions.Add(1)
-			if copied {
-				o.stats.KzcCopiedCompletions.Add(1)
-			}
-		}
-	})
-	if !ok {
-		// Nothing was written and done will never fire: drop the lease
-		// here and let the caller degrade to the marshaled path.
-		o.leases.Settle(lid)
-		if err == nil {
-			err = transport.ErrZeroCopyUnavailable
-		}
-		return err
-	}
-	if err == nil {
-		o.stats.KzcDeposits.Add(1)
-		o.stats.KzcDepositBytes.Add(int64(len(seg.b)))
-	}
 	return err
 }
 
@@ -638,40 +591,51 @@ func (c *conn) segNotify(seg *depositSeg) func(expired bool) {
 	}
 }
 
-// sendZCRunLocked transmits a run of zero-copy-eligible segments as
-// one vectored MSG_ZEROCOPY send (sendMu held): a single sendmsg
-// covers every segment, a single kernel completion settles every
-// lease. Each buffer still gets its own lease (the sweeper backstop
-// stays per-buffer) and its own completion notification.
-func (c *conn) sendZCRunLocked(zgw transport.ZeroCopyGatherWriter, run []depositSeg) (int64, error) {
+// sendZCRunLocked sends a run of one or more pooled-buffer segments as
+// one vectored MSG_ZEROCOPY send (sendMu held): a single sendmsg covers
+// every segment, a single kernel completion settles every lease. Each
+// buffer gets its own lease, which pins it until the completion settles
+// it (release-on-completion, not on write-return), with the lease
+// sweeper as the backstop when a completion is lost or merely slower
+// than the TTL, and its own completion notification. Expiry runs
+// onLeaseExpire (markDataDown → data.Close) BEFORE the sweeper releases
+// the buffer, and the kzc transport turns that close into an abort
+// (RST) while completions are outstanding, purging the send queue so
+// the kernel holds no reference to the buffer's pages by the time they
+// return to the pool for reuse. A connection that cannot zero-copy
+// surfaces transport.ErrZeroCopyUnavailable, which the caller's
+// errDataWrite handling turns into the marshaled-path fallback.
+func (c *conn) sendZCRunLocked(run []depositSeg) (int64, error) {
 	o := c.orb
-	ttl := o.leaseTTL()
-	segs := make([][]byte, len(run))
-	lids := make([]zcbuf.LeaseID, len(run))
+	exp := time.Now().Add(o.leaseTTL())
+	// The first lease travels by value, so a run of one allocates no
+	// lease slice; rest holds the others.
+	var first zcbuf.LeaseID
+	var rest []zcbuf.LeaseID
+	if len(run) > 1 {
+		rest = make([]zcbuf.LeaseID, 0, len(run)-1)
+	}
 	var total int64
-	exp := time.Now().Add(ttl)
 	for i := range run {
 		seg := &run[i]
-		segs[i] = seg.b
+		c.zsegs = append(c.zsegs, seg.b)
 		total += int64(len(seg.b))
-		lids[i] = o.leases.GrantNotify(seg.buf, exp, c.onLeaseExpire, c.segNotify(seg))
-	}
-	ok, err := zgw.WriteZeroCopyGather(segs, func(copied bool) {
-		for _, lid := range lids {
-			if o.leases.Settle(lid) {
-				o.stats.KzcCompletions.Add(1)
-				if copied {
-					o.stats.KzcCopiedCompletions.Add(1)
-				}
-			}
+		lid := o.leases.GrantNotify(seg.buf, exp, c.onLeaseExpire, c.segNotify(seg))
+		if i == 0 {
+			first = lid
+		} else {
+			rest = append(rest, lid)
 		}
+	}
+	ok, err := c.zcw.WriteZeroCopy(c.zsegs, func(copied bool) {
+		c.settleRun(first, rest, true, copied)
 	})
+	clear(c.zsegs)
+	c.zsegs = c.zsegs[:0]
 	if !ok {
 		// Nothing was written and done will never fire: drop the leases
 		// here and let the caller degrade to the marshaled path.
-		for _, lid := range lids {
-			o.leases.Settle(lid)
-		}
+		c.settleRun(first, rest, false, false)
 		if err == nil {
 			err = transport.ErrZeroCopyUnavailable
 		}
@@ -682,6 +646,28 @@ func (c *conn) sendZCRunLocked(zgw transport.ZeroCopyGatherWriter, run []deposit
 		o.stats.KzcDepositBytes.Add(total)
 	}
 	return total, err
+}
+
+// settleRun settles the leases of one zero-copy run. completed credits
+// every lease it settles as a kernel completion; a run that was never
+// sent drops its leases uncounted.
+func (c *conn) settleRun(first zcbuf.LeaseID, rest []zcbuf.LeaseID, completed, copied bool) {
+	o := c.orb
+	var n int64
+	if o.leases.Settle(first) {
+		n++
+	}
+	for _, lid := range rest {
+		if o.leases.Settle(lid) {
+			n++
+		}
+	}
+	if completed && n > 0 {
+		o.stats.KzcCompletions.Add(n)
+		if copied {
+			o.stats.KzcCopiedCompletions.Add(n)
+		}
+	}
 }
 
 // sendFileSeg transmits one file-backed segment disk→wire.
@@ -753,6 +739,14 @@ func (c *conn) resolveData(token uint64) (transport.Conn, error) {
 	if err != nil {
 		return nil, &errDepositTransfer{err: err}
 	}
+	c.attachData(dc, token)
+	return dc, nil
+}
+
+// attachData makes dc the connection's data channel for token and
+// caches its capabilities: a shared-memory ring (DirectReader), kernel
+// zero-copy sends, sendfile transfers.
+func (c *conn) attachData(dc transport.Conn, token uint64) {
 	c.data = dc
 	c.dataToken = token
 	if _, ok := dc.(transport.DirectReader); ok {
@@ -760,7 +754,6 @@ func (c *conn) resolveData(token uint64) (transport.Conn, error) {
 	}
 	c.zcw, _ = dc.(transport.ZeroCopyWriter)
 	c.fsend, _ = dc.(transport.FileSender)
-	return dc, nil
 }
 
 // readDeposits consumes the direct-deposit payloads announced by a

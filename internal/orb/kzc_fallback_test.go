@@ -25,7 +25,7 @@ type zcDenyConn struct {
 	transport.Conn
 }
 
-func (c *zcDenyConn) WriteZeroCopy(p []byte, done func(copied bool)) (bool, error) {
+func (c *zcDenyConn) WriteZeroCopy(segs [][]byte, done func(copied bool)) (bool, error) {
 	return false, transport.ErrZeroCopyUnavailable
 }
 

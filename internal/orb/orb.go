@@ -66,8 +66,6 @@ type Options struct {
 	// profiles and compared during co-location discovery (tests only).
 	// Empty derives it from the OS (machine-id, boot-id, hostname).
 	HostID string
-	// Pool supplies deposit buffers; defaults to a private pool.
-	Pool *zcbuf.Pool
 	// CallTimeout bounds synchronous invocations; default 30s.
 	CallTimeout time.Duration
 	// Retry configures automatic re-invocation of calls that fail with
@@ -492,7 +490,7 @@ func New(opts Options) (*ORB, error) {
 	o := &ORB{
 		opts:        opts,
 		tr:          opts.Transport,
-		pool:        opts.Pool,
+		pool:        &zcbuf.Pool{},
 		arch:        opts.Arch,
 		servants:    make(map[string]Servant),
 		clientConns: make(map[string]*conn),
@@ -504,9 +502,6 @@ func New(opts Options) (*ORB, error) {
 	}
 	if o.tr == nil {
 		o.tr = &transport.TCP{}
-	}
-	if o.pool == nil {
-		o.pool = &zcbuf.Pool{}
 	}
 	if o.arch == "" {
 		o.arch = DefaultArch()
@@ -1175,13 +1170,7 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 				_ = dc.Close()
 				o.logf("orb: data preamble write failed, falling back: %v", err)
 			} else {
-				c.data = dc
-				c.dataToken = token
-				if _, ok := dc.(transport.DirectReader); ok {
-					c.shmData.Store(true)
-				}
-				c.zcw, _ = dc.(transport.ZeroCopyWriter)
-				c.fsend, _ = dc.(transport.FileSender)
+				c.attachData(dc, token)
 			}
 		}
 	}

@@ -139,67 +139,17 @@ func (r *Ring) Producer() *Producer {
 // ErrCorrupt. Test/fault-injection hook only.
 func (p *Producer) CorruptNext() { p.corruptNext.Store(true) }
 
-// Write deposits p as one record, copying it into the receiver-mapped
-// slot run and publishing the descriptor. It blocks while the ring
-// lacks credit, up to StallTimeout.
+// Write deposits b as one record: a train of one through WriteVec. It
+// blocks while the ring lacks credit, up to StallTimeout.
 func (p *Producer) Write(b []byte) (int, error) {
-	r := p.r
-	slotSize := r.cfg.SlotSize
-	need := (len(b) + slotSize - 1) / slotSize
-	if need == 0 {
-		need = 1 // zero-length records still need a descriptor
-	}
-	if len(b) > r.cfg.MaxPayload() {
-		return 0, ErrTooLarge
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0, ErrClosed
-	}
-	// A record published after the consumer closed would be silently
-	// lost; fail even when credit is available so the writer learns the
-	// ring is dead on the write that would have vanished, not on the
-	// one that fills the ring.
-	if atomic.LoadUint32(r.consClosed()) != 0 || (p.Dead != nil && p.Dead.Load()) {
-		return 0, ErrPeerDead
-	}
-
-	start := int(p.head % uint64(r.cfg.SlotCount))
-	pad := 0
-	if start+need > r.cfg.SlotCount {
-		pad = r.cfg.SlotCount - start
-	}
-	if err := p.waitCredit(uint64(pad + need)); err != nil {
-		return 0, err
-	}
-	head := p.head
-	if pad > 0 {
-		w0, w1 := r.descAt(start)
-		*w0 = packDesc(kindPad, pad*slotSize)
-		*w1 = head
-		head += uint64(pad)
-		start = 0
-	}
-	copy(r.data[start*slotSize:], b)
-	w0, w1 := r.descAt(start)
-	*w0 = packDesc(kindData, len(b))
-	tag := head
-	if p.corruptNext.CompareAndSwap(true, false) {
-		tag = ^head // wrong on purpose: the consumer reports ErrCorrupt
-	}
-	*w1 = tag
-	head += uint64(need)
-	// Release-store: every descriptor and payload byte above
-	// happens-before a consumer's acquire-load of the new head.
-	atomic.StoreUint64(r.head(), head)
-	p.head = head
-	return len(b), nil
+	n, err := p.WriteVec([][]byte{b})
+	return int(n), err
 }
 
-// WriteVec deposits each segment as its own record — the multi-slot
-// lease behind gathered deposits. Unlike a loop of Write calls, the
+// WriteVec deposits each segment as its own record, copying it into
+// the receiver-mapped slot run and publishing its descriptor — the
+// multi-slot lease behind every deposit. It blocks while the ring
+// lacks credit, up to StallTimeout. Unlike one publish per record, the
 // slot runs (including wrap padding) for a whole batch are credited in
 // ONE reservation and the descriptors published with ONE release-store
 // of the shared head, so the consumer observes the train atomically
@@ -220,6 +170,10 @@ func (p *Producer) WriteVec(segs [][]byte) (int64, error) {
 	if p.closed {
 		return 0, ErrClosed
 	}
+	// A record published after the consumer closed would be silently
+	// lost; fail even when credit is available so the writer learns the
+	// ring is dead on the write that would have vanished, not on the
+	// one that fills the ring.
 	if atomic.LoadUint32(r.consClosed()) != 0 || (p.Dead != nil && p.Dead.Load()) {
 		return 0, ErrPeerDead
 	}
@@ -236,7 +190,7 @@ func (p *Producer) WriteVec(segs [][]byte) (int64, error) {
 		for ; end < len(segs); end++ {
 			n := (len(segs[end]) + slotSize - 1) / slotSize
 			if n == 0 {
-				n = 1
+				n = 1 // zero-length records still need a descriptor
 			}
 			start := int((head + need) % cap64)
 			pad := 0
@@ -270,13 +224,15 @@ func (p *Producer) WriteVec(segs [][]byte) (int64, error) {
 			*w0 = packDesc(kindData, len(b))
 			tag := head
 			if p.corruptNext.CompareAndSwap(true, false) {
-				tag = ^head
+				tag = ^head // wrong on purpose: the consumer reports ErrCorrupt
 			}
 			*w1 = tag
 			head += uint64(n)
 			total += int64(len(b))
 		}
-		// One release-store publishes every record of the batch.
+		// One release-store publishes every record of the batch: every
+		// descriptor and payload byte above happens-before a consumer's
+		// acquire-load of the new head.
 		atomic.StoreUint64(r.head(), head)
 		p.head = head
 		batch = end

@@ -40,12 +40,15 @@ var ErrZeroCopyUnavailable = errors.New("transport: kernel zero-copy unavailable
 // available on this platform (non-Linux builds).
 var ErrKernelZCUnsupported = errors.New("transport: kzc requires linux (MSG_ZEROCOPY + sendfile)")
 
-// ZeroCopyWriter is implemented by connections that can send a payload
-// with kernel zero-copy (MSG_ZEROCOPY): the kernel pins the pages and
-// transmits them without a user-to-kernel copy, and done fires exactly
-// once when the kernel has released them (the errqueue completion).
-// done(copied=true) means the kernel copied after all (loopback, or a
-// driver without SG support) — the send still succeeded.
+// ZeroCopyWriter is implemented by connections that can send payload
+// segments with kernel zero-copy (MSG_ZEROCOPY): the kernel pins the
+// pages and transmits them without a user-to-kernel copy. Every send is
+// a train: the segments go out back to back in vectored sendmsgs
+// (normally exactly one), share one completion, and done fires exactly
+// once when the kernel has released every page (the errqueue
+// completion). A single deposit is a train of one. done(copied=true)
+// means the kernel copied after all (loopback, or a driver without SG
+// support) — the send still succeeded.
 //
 // ok=false means nothing was written and done will never fire; err is
 // then ErrZeroCopyUnavailable (or wraps it) and the caller must take
@@ -53,7 +56,7 @@ var ErrKernelZCUnsupported = errors.New("transport: kzc requires linux (MSG_ZERO
 // mid-payload; done still fires exactly once (possibly only via the
 // caller's lease sweeper if the kernel never reports).
 type ZeroCopyWriter interface {
-	WriteZeroCopy(p []byte, done func(copied bool)) (ok bool, err error)
+	WriteZeroCopy(segs [][]byte, done func(copied bool)) (ok bool, err error)
 	// ZeroCopyThreshold returns the negotiated minimum payload size for
 	// zero-copy sends on this connection.
 	ZeroCopyThreshold() int
@@ -64,15 +67,4 @@ type ZeroCopyWriter interface {
 // never enter user space.
 type FileSender interface {
 	SendFile(f *os.File, off, n int64) (int64, error)
-}
-
-// ZeroCopyGatherWriter is implemented by zero-copy connections that
-// can send a whole scatter/gather train in one vectored MSG_ZEROCOPY
-// sendmsg: the segments share a single completion sequence, so one
-// errqueue range completes the entire train (the caller fans that out
-// to per-buffer callbacks). Semantics of ok/err/done match
-// ZeroCopyWriter, with done firing once for the train.
-type ZeroCopyGatherWriter interface {
-	ZeroCopyWriter
-	WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (ok bool, err error)
 }

@@ -173,10 +173,6 @@ func newKzcConn(t *KZC, tc *net.TCPConn, dialer bool) (*kzcConn, error) {
 	c := &kzcConn{t: t, tc: tc, raw: raw, dialer: dialer,
 		reapWake: make(chan struct{}, 1), closed: make(chan struct{})}
 	c.thresh.Store(int32(t.threshold()))
-	c.sendFn = func(fd uintptr) bool {
-		c.sendN, c.sendErr = syscall.SendmsgN(int(fd), c.sendBuf, nil, nil, msgZeroCopy)
-		return c.sendErr != syscall.EAGAIN
-	}
 	c.sendVecFn = func(fd uintptr) bool {
 		n, _, e := syscall.Syscall(syscall.SYS_SENDMSG, fd,
 			uintptr(unsafe.Pointer(&c.sendMsg)), uintptr(msgZeroCopy))
@@ -235,18 +231,14 @@ type kzcConn struct {
 	noPromote bool        // dialer: first write was not ZCDC
 	promoted  bool        // dialer: promotion header sent
 
-	// Zero-copy send scratch (wmu held): the raw.Write callback is
-	// built once so the per-send fast path allocates nothing.
-	sendFn  func(fd uintptr) bool
-	sendBuf []byte
-	sendN   int
-	sendErr error
-	// Vectored zero-copy scratch (wmu held): the iovec array and
-	// msghdr for WriteZeroCopyGather's sendmsg, plus its prebuilt
-	// callback.
+	// Zero-copy send scratch (wmu held): the iovec array and msghdr
+	// for WriteZeroCopy's sendmsg, plus its raw.Write callback, built
+	// once so the per-send fast path allocates nothing.
 	sendVecFn func(fd uintptr) bool
 	sendVec   []syscall.Iovec
 	sendMsg   syscall.Msghdr
+	sendN     int
+	sendErr   error
 
 	rmu      sync.Mutex
 	probed   bool   // acceptor: promotion probe done
@@ -417,137 +409,30 @@ func (c *kzcConn) WriteGather(segs ...[]byte) (int64, error) {
 	if err := c.maybePromoteLocked(first); err != nil {
 		return 0, err
 	}
-	bufs := c.gbufs[:0]
-	var total int64
-	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		bufs = append(bufs, s)
-		total += int64(len(s))
-	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.tc)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
+	n, err := writeGather(c.tc, &c.gbufs, segs)
 	c.countWrite(n, len(segs))
 	if err != nil {
 		return n, fmt.Errorf("transport: kzc gather write: %w", err)
 	}
-	if n != total {
-		return n, fmt.Errorf("transport: kzc gather write short: %d of %d", n, total)
-	}
 	return n, nil
 }
 
-// plainWriteLocked writes p without zero-copy (wmu held), for the
-// ENOBUFS and fault degradation paths.
-func (c *kzcConn) plainWriteLocked(p []byte) error {
-	n, err := c.tc.Write(p)
-	c.countWrite(int64(n), 0)
-	return err
-}
-
-// WriteZeroCopy implements ZeroCopyWriter: send p with MSG_ZEROCOPY
-// and fire done exactly once when the kernel releases the pages. See
-// the interface contract in direct.go.
-func (c *kzcConn) WriteZeroCopy(p []byte, done func(copied bool)) (bool, error) {
-	if !c.zcOn.Load() || c.zcDown.Load() {
-		return false, ErrZeroCopyUnavailable
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.t.Faults != nil {
-		if r := c.t.Faults.decide(OpWrite, ClassKzc); r != nil {
-			switch r.Kind {
-			case FaultENOBUFS:
-				// Kernel can't pin pages: degrade this one send to a
-				// plain copying write, completed immediately.
-				err := c.plainWriteLocked(p)
-				done(true)
-				return true, err
-			case FaultDropCompletion:
-				// Bytes arrive, the completion never does: the caller's
-				// lease sweeper must reclaim the buffer.
-				return true, c.plainWriteLocked(p)
-			case FaultReset, FaultPeerKill:
-				done(true)
-				_ = c.Close()
-				return true, fmt.Errorf("kzcconn: injected %s on zero-copy send", r.Kind)
-			case FaultStall, FaultSlow:
-				time.Sleep(r.Delay)
-			}
-		}
-	}
-	pd := c.reservePending(done)
-	sent := 0
-	for sent < len(p) {
-		// Reserve the sequence the sendmsg will consume BEFORE issuing
-		// it: the kernel can queue (and the reaper drain) the completion
-		// the moment the syscall returns, so recording the sequence
-		// afterwards would race a merged completion against an
-		// unregistered range.
-		c.reserveSeq(pd)
-		c.sendBuf = p[sent:]
-		werr := c.raw.Write(c.sendFn)
-		n, serr := c.sendN, c.sendErr
-		c.sendBuf = nil
-		if werr != nil && serr == nil {
-			serr = werr
-		}
-		if serr != nil {
-			// A failed sendmsg consumed no kernel sequence (the kernel
-			// aborts the zero-copy id on error), so the reservation
-			// rolls back.
-			c.unreserveSeq(pd)
-			if serr == syscall.ENOBUFS {
-				// Optmem exhaustion: finish with a plain copying write.
-				// The kernel holds no reference beyond the sequences
-				// already consumed.
-				perr := c.plainWriteLocked(p[sent:])
-				c.closePending(pd, true)
-				return true, perr
-			}
-			// Stream broken mid-payload. Sequences already consumed
-			// complete via the reaper (or the caller's sweeper).
-			c.closePending(pd, true)
-			return true, fmt.Errorf("transport: kzc zero-copy send: %w", serr)
-		}
-		sent += n
-	}
-	c.countWrite(int64(len(p)), 0)
-	c.closePending(pd, false)
-	c.reapOnce() // opportunistic non-blocking drain
-	return true, nil
-}
-
 // plainWriteVecLocked writes segs without zero-copy (wmu held): the
-// ENOBUFS and fault degradation path of the gather send.
+// ENOBUFS and fault degradation path of WriteZeroCopy.
 func (c *kzcConn) plainWriteVecLocked(segs [][]byte) error {
-	bufs := c.gbufs[:0]
-	for _, s := range segs {
-		if len(s) > 0 {
-			bufs = append(bufs, s)
-		}
-	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.tc)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
+	n, err := writeGather(c.tc, &c.gbufs, segs)
 	c.countWrite(n, 0)
 	return err
 }
 
-// WriteZeroCopyGather implements ZeroCopyGatherWriter: the whole train
-// goes out in vectored MSG_ZEROCOPY sendmsgs (normally exactly one —
-// one syscall, one completion sequence for N segments), and done fires
-// exactly once when the kernel releases every page. The completion
-// range the reaper sees covers the single shared sequence, which is
-// how per-buffer callbacks stay cheap: the caller fans the one train
-// completion out to its segments.
-func (c *kzcConn) WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (bool, error) {
+// WriteZeroCopy implements ZeroCopyWriter: the whole train goes out in
+// vectored MSG_ZEROCOPY sendmsgs (normally exactly one — one syscall,
+// one completion sequence for N segments; a single deposit is a train
+// of one), and done fires exactly once when the kernel releases every
+// page. The completion range the reaper sees covers the single shared
+// sequence, which is how per-buffer callbacks stay cheap: the caller
+// fans the one train completion out to its segments.
+func (c *kzcConn) WriteZeroCopy(segs [][]byte, done func(copied bool)) (bool, error) {
 	if !c.zcOn.Load() || c.zcDown.Load() {
 		return false, ErrZeroCopyUnavailable
 	}
@@ -565,15 +450,19 @@ func (c *kzcConn) WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (bo
 		if r := c.t.Faults.decide(OpWrite, ClassKzc); r != nil {
 			switch r.Kind {
 			case FaultENOBUFS:
+				// Kernel can't pin pages: degrade this one send to a
+				// plain copying write, completed immediately.
 				err := c.plainWriteVecLocked(segs)
 				done(true)
 				return true, err
 			case FaultDropCompletion:
+				// Bytes arrive, the completion never does: the caller's
+				// lease sweeper must reclaim the buffers.
 				return true, c.plainWriteVecLocked(segs)
 			case FaultReset, FaultPeerKill:
 				done(true)
 				_ = c.Close()
-				return true, fmt.Errorf("kzcconn: injected %s on zero-copy gather send", r.Kind)
+				return true, fmt.Errorf("kzcconn: injected %s on zero-copy send", r.Kind)
 			case FaultStall, FaultSlow:
 				time.Sleep(r.Delay)
 			}
@@ -584,7 +473,10 @@ func (c *kzcConn) WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (bo
 	for sent < total {
 		// Rebuild the iovec view of the unsent tail (a partial sendmsg
 		// re-vectors from the new offset) and reserve the sequence this
-		// sendmsg will consume before issuing it, as in WriteZeroCopy.
+		// sendmsg will consume BEFORE issuing it: the kernel can queue
+		// (and the reaper drain) the completion the moment the syscall
+		// returns, so recording the sequence afterwards would race a
+		// merged completion against an unregistered range.
 		iovs := c.sendVec[:0]
 		skip := sent
 		for _, s := range segs {
@@ -610,20 +502,28 @@ func (c *kzcConn) WriteZeroCopyGather(segs [][]byte, done func(copied bool)) (bo
 			serr = werr
 		}
 		if serr != nil {
+			// A failed sendmsg consumed no kernel sequence (the kernel
+			// aborts the zero-copy id on error), so the reservation
+			// rolls back.
 			c.unreserveSeq(pd)
 			if serr == syscall.ENOBUFS {
+				// Optmem exhaustion: finish with a plain copying write.
+				// The kernel holds no reference beyond the sequences
+				// already consumed.
 				perr := c.plainWriteVecLocked(tailSegs(segs, sent))
 				c.closePending(pd, true)
 				return true, perr
 			}
+			// Stream broken mid-payload. Sequences already consumed
+			// complete via the reaper (or the caller's sweeper).
 			c.closePending(pd, true)
-			return true, fmt.Errorf("transport: kzc zero-copy gather send: %w", serr)
+			return true, fmt.Errorf("transport: kzc zero-copy send: %w", serr)
 		}
 		sent += n
 	}
 	c.countWrite(int64(total), len(segs))
 	c.closePending(pd, false)
-	c.reapOnce()
+	c.reapOnce() // opportunistic non-blocking drain
 	return true, nil
 }
 

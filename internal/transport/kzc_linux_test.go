@@ -76,7 +76,7 @@ func TestKZCStreamMode(t *testing.T) {
 		t.Fatal("stream-mode conn enabled SO_ZEROCOPY")
 	}
 	// A zero-copy send on an unpromoted conn must decline cleanly.
-	if ok, err := cli.(*kzcConn).WriteZeroCopy(msg, func(bool) {}); ok || !errors.Is(err, ErrZeroCopyUnavailable) {
+	if ok, err := cli.(*kzcConn).WriteZeroCopy([][]byte{msg}, func(bool) {}); ok || !errors.Is(err, ErrZeroCopyUnavailable) {
 		t.Fatalf("unpromoted WriteZeroCopy: ok=%v err=%v", ok, err)
 	}
 }
@@ -132,7 +132,7 @@ func TestKZCWriteZeroCopyCompletion(t *testing.T) {
 		_, err := io.ReadFull(srv, got)
 		rdone <- err
 	}()
-	ok, err := cli.(*kzcConn).WriteZeroCopy(payload, func(copied bool) {
+	ok, err := cli.(*kzcConn).WriteZeroCopy([][]byte{payload}, func(copied bool) {
 		fired.Add(1)
 	})
 	if !ok || err != nil {
@@ -165,7 +165,7 @@ func TestKZCWriteZeroCopyCompletion(t *testing.T) {
 func TestKZCDisableFallsBack(t *testing.T) {
 	cli, srv := kzcPair(t, &KZC{Disable: true})
 	promoteKzc(t, cli, srv)
-	ok, err := cli.(*kzcConn).WriteZeroCopy(make([]byte, 64<<10), func(bool) {
+	ok, err := cli.(*kzcConn).WriteZeroCopy([][]byte{make([]byte, 64<<10)}, func(bool) {
 		t.Error("done fired on a declined send")
 	})
 	if ok || !errors.Is(err, ErrZeroCopyUnavailable) {
@@ -236,7 +236,7 @@ func TestKZCCopiedLimitDegrades(t *testing.T) {
 	kc := cli.(*kzcConn)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok, err := kc.WriteZeroCopy(payload, func(bool) {})
+		ok, err := kc.WriteZeroCopy([][]byte{payload}, func(bool) {})
 		if !ok {
 			if !errors.Is(err, ErrZeroCopyUnavailable) {
 				t.Fatalf("degraded error = %v, want ErrZeroCopyUnavailable", err)
@@ -267,7 +267,7 @@ func TestKZCFaultInjection(t *testing.T) {
 			_, err := io.ReadFull(srv, got)
 			rdone <- err
 		}()
-		ok, err := cli.(*kzcConn).WriteZeroCopy(payload, func(copied bool) {
+		ok, err := cli.(*kzcConn).WriteZeroCopy([][]byte{payload}, func(copied bool) {
 			if !copied {
 				t.Error("ENOBUFS degradation must complete as copied")
 			}
@@ -298,7 +298,7 @@ func TestKZCFaultInjection(t *testing.T) {
 			_, err := io.ReadFull(srv, got)
 			rdone <- err
 		}()
-		ok, err := cli.(*kzcConn).WriteZeroCopy(payload, func(bool) { fired.Add(1) })
+		ok, err := cli.(*kzcConn).WriteZeroCopy([][]byte{payload}, func(bool) { fired.Add(1) })
 		if !ok || err != nil {
 			t.Fatalf("dropped-completion send: ok=%v err=%v", ok, err)
 		}
@@ -343,7 +343,7 @@ func TestKZCFaultInjection(t *testing.T) {
 		cli, srv := kzcPair(t, &KZC{Threshold: 4096, Faults: inj})
 		promoteKzc(t, cli, srv)
 		var fired atomic.Int32
-		ok, err := cli.(*kzcConn).WriteZeroCopy(make([]byte, 32<<10), func(bool) { fired.Add(1) })
+		ok, err := cli.(*kzcConn).WriteZeroCopy([][]byte{make([]byte, 32<<10)}, func(bool) { fired.Add(1) })
 		if !ok || err == nil {
 			t.Fatalf("reset send: ok=%v err=%v, want ok with error", ok, err)
 		}
@@ -566,7 +566,7 @@ func TestKZCReaperWakesAfterIdle(t *testing.T) {
 	payload := make([]byte, 64<<10)
 	for round := 0; round < 2; round++ {
 		var fired atomic.Int32
-		ok, err := kc.WriteZeroCopy(payload, func(bool) { fired.Add(1) })
+		ok, err := kc.WriteZeroCopy([][]byte{payload}, func(bool) { fired.Add(1) })
 		if !ok || err != nil {
 			t.Fatalf("round %d WriteZeroCopy: ok=%v err=%v", round, ok, err)
 		}
@@ -608,13 +608,13 @@ func TestKZCWriteZeroCopyGather(t *testing.T) {
 		_, err := io.ReadFull(srv, got)
 		rdone <- err
 	}()
-	zgw, okIface := Conn(cli).(ZeroCopyGatherWriter)
+	zcw, okIface := Conn(cli).(ZeroCopyWriter)
 	if !okIface {
-		t.Fatal("kzc conn does not implement ZeroCopyGatherWriter")
+		t.Fatal("kzc conn does not implement ZeroCopyWriter")
 	}
-	ok, err := zgw.WriteZeroCopyGather(segs, func(copied bool) { fired.Add(1) })
+	ok, err := zcw.WriteZeroCopy(segs, func(copied bool) { fired.Add(1) })
 	if !ok || err != nil {
-		t.Fatalf("WriteZeroCopyGather: ok=%v err=%v", ok, err)
+		t.Fatalf("WriteZeroCopy: ok=%v err=%v", ok, err)
 	}
 	if err := <-rdone; err != nil {
 		t.Fatalf("server read: %v", err)

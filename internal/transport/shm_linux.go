@@ -536,7 +536,12 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 			}
 		}
 		if rp == nil {
-			return c.streamGatherLocked(segs)
+			n, err := writeGather(c.uc, &c.gbufs, segs)
+			c.countWrite(n, len(segs))
+			if err != nil {
+				return n, fmt.Errorf("transport: shm gather write: %w", err)
+			}
+			return n, nil
 		}
 	}
 	if err := c.faultWrite(); err != nil {
@@ -558,31 +563,6 @@ func (c *shmConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.gbufs = c.gbufs[:0]
 	c.countWrite(total, len(segs))
 	return total, err
-}
-
-func (c *shmConn) streamGatherLocked(segs [][]byte) (int64, error) {
-	bufs := c.gbufs[:0]
-	var total int64
-	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		bufs = append(bufs, s)
-		total += int64(len(s))
-	}
-	c.gbufs = bufs
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.uc)
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
-	c.countWrite(n, len(segs))
-	if err != nil {
-		return n, fmt.Errorf("transport: shm gather write: %w", err)
-	}
-	if n != total {
-		return n, fmt.Errorf("transport: shm gather write short: %d of %d", n, total)
-	}
-	return n, nil
 }
 
 func (c *shmConn) Close() error {

@@ -202,22 +202,7 @@ func (c *tcpConn) Write(p []byte) (int, error) {
 
 func (c *tcpConn) WriteGather(segs ...[]byte) (int64, error) {
 	c.wmu.Lock()
-	bufs := c.gbufs[:0]
-	var total int64
-	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		bufs = append(bufs, s)
-		total += int64(len(s))
-	}
-	c.gbufs = bufs // retain the (possibly grown) scratch array
-	nsegs := len(bufs)
-	n, err := bufs.WriteTo(c.c)
-	// WriteTo consumed the local copy; drop the scratch's references so
-	// it does not pin caller buffers until the next write.
-	clear(c.gbufs[:nsegs])
-	c.gbufs = c.gbufs[:0]
+	n, err := writeGather(c.c, &c.gbufs, segs)
 	c.wmu.Unlock()
 	if c.stats != nil {
 		c.stats.BytesSent.Add(n)
@@ -227,10 +212,34 @@ func (c *tcpConn) WriteGather(segs ...[]byte) (int64, error) {
 	if err != nil {
 		return n, fmt.Errorf("transport: gather write: %w", err)
 	}
-	if n != total {
-		return n, fmt.Errorf("transport: gather write short: %d of %d", n, total)
-	}
 	return n, nil
+}
+
+// writeGather is the stream gather write shared by every socket-backed
+// connection: the non-empty segs go to w in one writev (net.Buffers),
+// with *scratch reused for the segment list so steady-state gathers do
+// not allocate one. A write that returns short without an error is
+// reported as one. The caller holds the lock guarding scratch and does
+// its own stats accounting.
+func writeGather(w io.Writer, scratch *net.Buffers, segs [][]byte) (int64, error) {
+	bufs := (*scratch)[:0]
+	var total int64
+	for _, s := range segs {
+		if len(s) > 0 {
+			bufs = append(bufs, s)
+			total += int64(len(s))
+		}
+	}
+	*scratch = bufs // retain the (possibly grown) scratch array
+	n, err := bufs.WriteTo(w)
+	// WriteTo consumed the local copy; drop the scratch's references so
+	// it does not pin caller buffers until the next write.
+	clear(*scratch)
+	*scratch = (*scratch)[:0]
+	if err == nil && n != total {
+		err = fmt.Errorf("short write: %d of %d", n, total)
+	}
+	return n, err
 }
 
 func (c *tcpConn) Close() error       { return c.c.Close() }
