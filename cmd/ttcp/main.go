@@ -31,7 +31,7 @@
 // over the paper's block sizes runs with -sweep, and
 // -window N pipelines up to N CORBA requests in flight; every summary
 // line reports requests/s alongside Mbit/s. -segs N (both sides) runs
-// the gathered-deposit tier: each request carries N registered buffers
+// the gathered-deposit tier: each request carries N pooled buffers
 // as one deposit train (SendBuffers — a single vectored write per
 // train, per-buffer completions gating reuse). -chaos injects a seeded
 // transport fault schedule (see -chaos-seed) into the CORBA client and
@@ -87,7 +87,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "client: sweep the paper's block sizes 4K..16M")
 	target := flag.Int64("bytes", 32<<20, "sweep: bytes per point")
 	window := flag.Int("window", 1, "CORBA client: pipelined in-flight requests (1 = synchronous)")
-	segs := flag.Int("segs", 0, "CORBA mode: gather this many registered buffers per request into one deposit train (SendBuffers); both sides need the same value (implies -zerocopy)")
+	segs := flag.Int("segs", 0, "CORBA mode: gather this many pooled buffers per request into one deposit train (SendBuffers); both sides need the same value (implies -zerocopy)")
 	chaos := flag.Bool("chaos", false, "CORBA client: inject seeded transport faults and enable the retry policy")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed for -chaos")
 	eventsN := flag.Int("events", 0, "fan-out mode: run a pub/sub benchmark with this many co-located subscribers")

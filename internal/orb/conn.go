@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -119,10 +118,6 @@ type replyMsg struct {
 
 // replyMsgPool recycles replyMsg envelopes on the reply hot path.
 var replyMsgPool = sync.Pool{New: func() any { return new(replyMsg) }}
-
-// crcTab is the checksum table of the kzc reuse guard
-// (checksum-on-completion, Options.DebugReuseGuard).
-var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // replyChanPool recycles the single-slot reply channels handed to
 // invokers. A channel is only returned to the pool by the receiver
@@ -556,39 +551,29 @@ func (c *conn) flushDsegsLocked() error {
 var errCompletionExpired = errors.New("orb: deposit lease expired before zero-copy completion")
 
 // segNotify builds the lease-release notification for one zero-copy
-// deposit segment: the DebugReuseGuard checksum check, and — for
-// SendBuffers segments — the gather ledger's asyncDone, which drives
-// the per-buffer completion callback. Returns nil when neither
+// deposit segment. A SendBuffers segment reports to the gather
+// ledger's asyncDone, which drives its completion callback (and closes
+// the reuse-guard window SendBuffers opened). Any other segment opens
+// its own reuse-guard window here, closed when the lease settles or
+// expires, if Options.DebugReuseGuard is set. Returns nil when neither
 // applies (GrantNotify accepts a nil notify).
 func (c *conn) segNotify(seg *depositSeg) func(expired bool) {
-	o := c.orb
-	var guard func(expired bool)
-	if o.opts.DebugReuseGuard {
-		sum := crc32.Checksum(seg.b, crcTab)
-		b := seg.buf
-		guard = func(expired bool) {
-			if crc32.Checksum(b.Bytes(), crcTab) != sum {
-				o.stats.KzcReuseWarnings.Add(1)
-				o.logf("orb: kzc reuse guard: deposit buffer modified before "+
-					"zero-copy completion (expired=%v)", expired)
+	if g := seg.g; g != nil {
+		idx := seg.idx
+		g.markAsync(idx)
+		return func(expired bool) {
+			var err error
+			if expired {
+				err = errCompletionExpired
 			}
+			g.asyncDone(idx, err)
 		}
 	}
-	if seg.g == nil {
-		return guard
+	if !c.orb.opts.DebugReuseGuard {
+		return nil
 	}
-	g, idx := seg.g, seg.idx
-	g.markAsync(idx)
-	return func(expired bool) {
-		if guard != nil {
-			guard(expired)
-		}
-		var err error
-		if expired {
-			err = errCompletionExpired
-		}
-		g.asyncDone(idx, err)
-	}
+	o, w := c.orb, zcbuf.Guard(seg.buf)
+	return func(bool) { o.endGuard(w) }
 }
 
 // sendZCRunLocked sends a run of one or more pooled-buffer segments as

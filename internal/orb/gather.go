@@ -9,14 +9,13 @@ import (
 	"zcorba/internal/zcbuf"
 )
 
-// This file implements registered-buffer scatter/gather deposits: one
-// invocation carries N payload buffers as a single deposit train (one
-// vectored write on the data plane, one ring reservation on shared
-// memory), and each buffer gets its own completion callback the moment
-// its bytes are safe to reuse. Registration (zcbuf.Register) is
-// optional but composes: registered buffers get BeginSend/EndSend
-// bracketing, so a DebugWriteGuard-armed registration turns an early
-// reuse into a caught fault instead of silent corruption.
+// This file implements scatter/gather deposits: one invocation carries
+// N payload buffers as a single deposit train (one vectored write on
+// the data plane, one ring reservation on shared memory), and each
+// buffer gets its own completion callback the moment its bytes are
+// safe to reuse. With Options.DebugReuseGuard, each buffer's reuse-guard
+// window spans SendBuffers entry to that callback, so an early reuse is
+// a caught fault (or a counted warning) instead of silent corruption.
 
 // Per-segment completion flags in gatherState.state.
 const (
@@ -45,7 +44,7 @@ type gatherState struct {
 
 	mu        sync.Mutex
 	bufs      []*zcbuf.Buffer
-	regs      []*zcbuf.Registration
+	guards    []zcbuf.Window // per-buffer reuse-guard windows; empty when the guard is off
 	state     []uint8
 	asyncErr  []error // outcome reported by the async release
 	due       []int   // scratch for finish's fire list
@@ -63,17 +62,13 @@ func newGatherState(o *ORB, bufs []*zcbuf.Buffer, cb func(i int, err error)) *ga
 	n := len(bufs)
 	g.o, g.cb = o, cb
 	g.bufs = append(g.bufs[:0], bufs...)
-	if cap(g.regs) < n {
-		g.regs = make([]*zcbuf.Registration, n)
+	if cap(g.state) < n {
 		g.state = make([]uint8, n)
 		g.asyncErr = make([]error, n)
 	} else {
-		g.regs = g.regs[:n]
 		g.state = g.state[:n]
 		g.asyncErr = g.asyncErr[:n]
-		for i := 0; i < n; i++ {
-			g.regs[i], g.state[i], g.asyncErr[i] = nil, 0, nil
-		}
+		clear(g.state)
 	}
 	g.nfired, g.inFire = 0, 0
 	g.finished, g.finishErr = false, nil
@@ -89,9 +84,9 @@ func (g *gatherState) recycle() {
 		g.bufs[i] = nil
 	}
 	g.bufs = g.bufs[:0]
-	for i := range g.regs {
-		g.regs[i], g.asyncErr[i] = nil, nil
-	}
+	clear(g.asyncErr)
+	clear(g.guards)
+	g.guards = g.guards[:0]
 	gatherPool.Put(g)
 }
 
@@ -171,11 +166,12 @@ func (g *gatherState) finish(err error) {
 	g.fireDone(len(due))
 }
 
-// fire releases segment i's per-send pin and runs the application
-// callback. Exactly-once is guaranteed by the state[] ledger.
+// fire closes segment i's reuse-guard window, releases its per-send
+// pin and runs the application callback. Exactly-once is guaranteed by
+// the state[] ledger.
 func (g *gatherState) fire(i int, err error) {
-	if r := g.regs[i]; r != nil {
-		r.EndSend()
+	if len(g.guards) > 0 {
+		g.o.endGuard(g.guards[i])
 	}
 	g.bufs[i].Release()
 	g.o.stats.GatherCompletions.Add(1)
@@ -197,9 +193,10 @@ func (g *gatherState) fire(i int, err error) {
 // reuse, not server receipt: the invocation's outcome arrives through
 // the returned Call.
 //
-// Each buffer is retained for the duration of its send. Buffers
-// registered with zcbuf.Register get BeginSend/EndSend bracketing, so
-// an armed DebugWriteGuard faults writes landing inside the window.
+// Each buffer is retained for the duration of its send. With
+// Options.DebugReuseGuard, a write to buffer i before its completion
+// faults (page-aligned whole-page buffers on Linux) or counts a
+// Stats.ReuseWarnings (every other buffer).
 func (r *ObjectRef) SendBuffers(ctx context.Context, op *Operation,
 	bufs []*zcbuf.Buffer, onComplete func(i int, err error)) (*Call, error) {
 	if op == nil {
@@ -225,9 +222,8 @@ func (r *ObjectRef) SendBuffers(ctx context.Context, op *Operation,
 	for i, b := range bufs {
 		b.Retain()
 		args[i] = b
-		if reg, ok := zcbuf.Lookup(b); ok {
-			g.regs[i] = reg
-			reg.BeginSend()
+		if o.opts.DebugReuseGuard {
+			g.guards = append(g.guards, zcbuf.Guard(b))
 		}
 	}
 	call := r.startCtxG(ctx, op, args, o.tracer.NewTrace(), 1, g)
@@ -237,4 +233,18 @@ func (r *ObjectRef) SendBuffers(ctx context.Context, op *Operation,
 		g.finish(nil)
 	}
 	return call, nil
+}
+
+// endGuard closes one reuse-guard window (Options.DebugReuseGuard): a
+// checksum mismatch counts a ReuseWarnings, and a failure to restore
+// write access is reported rather than dropped.
+func (o *ORB) endGuard(w zcbuf.Window) {
+	modified, err := w.End()
+	if modified {
+		o.stats.ReuseWarnings.Add(1)
+		o.logf("orb: reuse guard: deposit buffer modified before its send completed")
+	}
+	if err != nil {
+		o.logf("orb: reuse guard: restoring write access: %v", err)
+	}
 }

@@ -3,7 +3,6 @@
 package orb
 
 import (
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -211,155 +210,41 @@ func TestSendBuffersShmPeerKillPartialReservation(t *testing.T) {
 	}
 }
 
-// storeFaults attempts p[0] = 0xFF and reports whether the store
-// faulted (recoverable panic under SetPanicOnFault) instead of
-// landing — the DebugWriteGuard detection mechanism.
-func storeFaults(p []byte) (faulted bool) {
-	old := debug.SetPanicOnFault(true)
-	defer debug.SetPanicOnFault(old)
-	defer func() {
-		if recover() != nil {
-			faulted = true
-		}
-	}()
-	p[0] = 0xFF
-	return false
-}
-
-// testWriteGuardOnPair drives the DebugWriteGuard regression on one
-// deposit plane: the train's data write is stalled by the injector so
-// the test can provably attempt a store while the buffers are in
-// flight. The store must fault (reported, not landed), the payload
-// must arrive intact, and the buffers must be writable again after
-// their completions fire.
-func testWriteGuardOnPair(t *testing.T, p *pair) {
-	t.Helper()
-	if raceDetectorEnabled {
-		// The probe store races with the in-flight send by design; the
-		// guard faults it before it lands, but the race detector logs
-		// the write event ahead of the mprotect fault.
-		t.Skip("write-guard probe store is a deliberate race")
-	}
-	var pl zcbuf.Pool
-	bufs, want := gatherBufs(t, &pl, 2, 32<<10)
-	defer releaseBufs(bufs)
-	orig := bufs[0].Bytes()[0]
-	for _, b := range bufs {
-		r, err := zcbuf.Register(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if err := r.EnableWriteGuard(); err != nil {
-			t.Fatalf("EnableWriteGuard: %v", err)
-		}
-	}
-	log := newCompletionLog()
-	type outcome struct {
-		call *Call
-		err  error
-	}
-	sent := make(chan outcome, 1)
-	go func() {
-		call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"], bufs, log.cb)
-		sent <- outcome{call, err}
-	}()
-	// The injector is stalling the data write: the guard window is
-	// provably open until the stall elapses.
-	time.Sleep(100 * time.Millisecond)
-	if !storeFaults(bufs[0].Bytes()) {
-		t.Fatal("store into a guarded in-flight buffer did not fault")
-	}
-	if bufs[0].Bytes()[0] != orig {
-		t.Fatal("the faulting store landed in a guarded buffer")
-	}
-	out := <-sent
-	if out.err != nil {
-		t.Fatalf("SendBuffers: %v", out.err)
-	}
-	res, _, err := out.call.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if res.(uint32) != want {
-		t.Fatal("payload corrupted despite the write guard")
-	}
-	// Wait for both completions (kzc fires them asynchronously), then
-	// the guard must be lifted: stores land again.
-	waitKzc(t, "guarded completions", func() bool {
-		return p.client.Stats().GatherCompletions.Load() >= 2
-	})
-	for i, e := range log.assertOnce(t, 2) {
-		if e != nil {
-			t.Fatalf("buffer %d completion error: %v", i, e)
-		}
-	}
-	bufs[0].Bytes()[0] = orig ^ 0xFF
-	if bufs[0].Bytes()[0] != orig^0xFF {
-		t.Fatal("buffer not writable after completion")
-	}
-}
-
-// TestSendBuffersWriteGuardTCP: the guard regression on the plain TCP
-// deposit plane.
-func TestSendBuffersWriteGuardTCP(t *testing.T) {
-	inj := transport.NewFaultInjector(21).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassData,
-		Kind: transport.FaultStall, Nth: 2, Delay: 400 * time.Millisecond,
-	})
-	p := chaosPair(t, &transport.TCP{}, inj,
-		Options{ZeroCopy: true},
-		Options{ZeroCopy: true, CallTimeout: 5 * time.Second})
-	testWriteGuardOnPair(t, p)
-}
-
-// TestSendBuffersWriteGuardKzc: the guard regression on the kernel
+// TestSendBuffersWriteGuardKzc: the reuse-guard table on the kernel
 // zero-copy plane (the vectored MSG_ZEROCOPY send is stalled).
 func TestSendBuffersWriteGuardKzc(t *testing.T) {
-	inj := transport.NewFaultInjector(22).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassKzc,
-		Kind: transport.FaultStall, Nth: 1, Delay: 400 * time.Millisecond,
+	testWriteGuard(t, func(t *testing.T) *pair {
+		inj := transport.NewFaultInjector(22).Add(transport.Rule{
+			Op: transport.OpWrite, Class: transport.ClassKzc,
+			Kind: transport.FaultStall, Nth: 1, Delay: 400 * time.Millisecond,
+		})
+		return kzcPair(t, &transport.KZC{Threshold: 4096, Faults: inj}, func(o *Options) {
+			o.CallTimeout = 5 * time.Second
+			o.DebugReuseGuard = true
+		})
 	})
-	p := kzcPair(t, &transport.KZC{Threshold: 4096, Faults: inj},
-		func(o *Options) { o.CallTimeout = 5 * time.Second })
-	testWriteGuardOnPair(t, p)
 }
 
-// TestSendBuffersWriteGuardShm: the guard regression on the
+// TestSendBuffersWriteGuardShm: the reuse-guard table on the
 // shared-memory plane (the ring reservation is stalled).
 func TestSendBuffersWriteGuardShm(t *testing.T) {
-	inj := transport.NewFaultInjector(23).Add(transport.Rule{
-		Op: transport.OpWrite, Class: transport.ClassShm,
-		Kind: transport.FaultStall, Nth: 2, Delay: 400 * time.Millisecond,
+	testWriteGuard(t, func(t *testing.T) *pair {
+		inj := transport.NewFaultInjector(23).Add(transport.Rule{
+			Op: transport.OpWrite, Class: transport.ClassShm,
+			Kind: transport.FaultStall, Nth: 2, Delay: 400 * time.Millisecond,
+		})
+		return newPair(t,
+			Options{
+				ZeroCopy:       true,
+				DataListenAddr: "shm://" + t.TempDir() + "/data.sock",
+				HostID:         "shm-test-host",
+			},
+			Options{
+				ZeroCopy:        true,
+				HostID:          "shm-test-host",
+				DataTransport:   &transport.SHM{Faults: inj},
+				CallTimeout:     5 * time.Second,
+				DebugReuseGuard: true,
+			})
 	})
-	server, err := New(Options{
-		ZeroCopy:       true,
-		DataListenAddr: "shm://" + t.TempDir() + "/data.sock",
-		HostID:         "shm-test-host",
-	})
-	if err != nil {
-		t.Fatalf("server ORB: %v", err)
-	}
-	t.Cleanup(server.Shutdown)
-	sv := newStoreServant()
-	ref, err := server.Activate("store", sv)
-	if err != nil {
-		t.Fatalf("Activate: %v", err)
-	}
-	client, err := New(Options{
-		ZeroCopy:      true,
-		HostID:        "shm-test-host",
-		DataTransport: &transport.SHM{Faults: inj},
-		CallTimeout:   5 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("client ORB: %v", err)
-	}
-	t.Cleanup(client.Shutdown)
-	cref, err := client.StringToObject(ref.String())
-	if err != nil {
-		t.Fatalf("StringToObject: %v", err)
-	}
-	p := &pair{server: server, client: client, servant: sv, ref: cref}
-	testWriteGuardOnPair(t, p)
 }

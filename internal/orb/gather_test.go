@@ -1,8 +1,11 @@
 package orb
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"zcorba/internal/transport"
 	"zcorba/internal/zcbuf"
@@ -253,4 +256,155 @@ func TestSendBuffersZeroLengthFallsBack(t *testing.T) {
 	if got := p.client.Stats().DepositsSent.Load(); got != 0 {
 		t.Fatalf("DepositsSent = %d for a zero-length train, want 0", got)
 	}
+}
+
+// guardShapes is the reuse-guard regression table: each row sends one
+// two-buffer train through a pair whose client sets DebugReuseGuard and
+// whose injector stalls the train's data write, and writes into the
+// first buffer while the train is provably in flight.
+var guardShapes = []struct {
+	name  string
+	check func(*testing.T, *pair)
+}{
+	{"page-aligned", checkGuardFaults},
+	{"unaligned", checkGuardWarns},
+}
+
+// testWriteGuard runs every guardShapes row on a fresh pair from mk (a
+// stall rule fires once per injector).
+func testWriteGuard(t *testing.T, mk func(*testing.T) *pair) {
+	for _, s := range guardShapes {
+		t.Run(s.name, func(t *testing.T) {
+			if raceDetectorEnabled {
+				// The probe store races with the in-flight send by
+				// design; the race detector logs it before the guard
+				// can fault or flag it.
+				t.Skip("reuse-guard probe store is a deliberate race")
+			}
+			s.check(t, mk(t))
+		})
+	}
+}
+
+// checkGuardFaults: a store into an in-flight pool buffer (page-aligned
+// whole pages) faults and never lands, the payload arrives intact, and
+// the buffer is writable again once its completion fires.
+func checkGuardFaults(t *testing.T, p *pair) {
+	if runtime.GOOS != "linux" {
+		t.Skip("page guard is linux-only (mprotect)")
+	}
+	var pl zcbuf.Pool
+	bufs, want := gatherBufs(t, &pl, 2, 32<<10)
+	defer releaseBufs(bufs)
+	orig := bufs[0].Bytes()[0]
+	faulted := false
+	res := guardProbe(t, p, bufs, func(b *zcbuf.Buffer) { faulted = storeFaults(b.Bytes()) })
+	if !faulted {
+		t.Fatal("store into a guarded in-flight buffer did not fault")
+	}
+	if bufs[0].Bytes()[0] != orig {
+		t.Fatal("the faulting store landed in a guarded buffer")
+	}
+	if res != want {
+		t.Fatal("payload corrupted despite the write guard")
+	}
+	bufs[0].Bytes()[0] = orig ^ 0xFF
+	if bufs[0].Bytes()[0] != orig^0xFF {
+		t.Fatal("buffer not writable after completion")
+	}
+}
+
+// checkGuardWarns: a write into an in-flight buffer that does not start
+// on a page boundary lands (the guard checksums such buffers) and raises
+// ReuseWarnings by the time its completion fires.
+func checkGuardWarns(t *testing.T, p *pair) {
+	bufs := make([]*zcbuf.Buffer, 2)
+	for i := range bufs {
+		// Go aligns allocations to at least 8 bytes, so raw[1:] never
+		// starts on a page boundary.
+		raw := pattern(32<<10 + 1)
+		bufs[i] = zcbuf.Wrap(raw[1:])
+	}
+	before := p.client.Stats().ReuseWarnings.Load()
+	guardProbe(t, p, bufs, func(b *zcbuf.Buffer) { b.Bytes()[0] ^= 0xFF })
+	if got := p.client.Stats().ReuseWarnings.Load() - before; got < 1 {
+		t.Fatalf("ReuseWarnings rose by %d after an early write, want >= 1", got)
+	}
+}
+
+// guardProbe sends bufs as one put2 train, runs write on bufs[0] while
+// the injector stalls the train's data write, and returns the reply
+// once every buffer's completion (asynchronous on kzc) has fired
+// exactly once without error.
+func guardProbe(t *testing.T, p *pair, bufs []*zcbuf.Buffer, write func(*zcbuf.Buffer)) uint32 {
+	t.Helper()
+	log := newCompletionLog()
+	fired := make(chan struct{}, len(bufs))
+	type outcome struct {
+		call *Call
+		err  error
+	}
+	sent := make(chan outcome, 1)
+	go func() {
+		call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"], bufs,
+			func(i int, err error) {
+				log.cb(i, err)
+				fired <- struct{}{}
+			})
+		sent <- outcome{call, err}
+	}()
+	// The stall holds the train in flight well past this sleep.
+	time.Sleep(100 * time.Millisecond)
+	write(bufs[0])
+	out := <-sent
+	if out.err != nil {
+		t.Fatalf("SendBuffers: %v", out.err)
+	}
+	res, _, err := out.call.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	for range bufs {
+		select {
+		case <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for per-buffer completions")
+		}
+	}
+	for i, e := range log.assertOnce(t, len(bufs)) {
+		if e != nil {
+			t.Fatalf("buffer %d completion error: %v", i, e)
+		}
+	}
+	return res.(uint32)
+}
+
+// storeFaults attempts p[0] = 0xFF and reports whether the store
+// faulted (recoverable panic under SetPanicOnFault) instead of
+// landing — how the page guard surfaces an early write.
+func storeFaults(p []byte) (faulted bool) {
+	old := debug.SetPanicOnFault(true)
+	defer debug.SetPanicOnFault(old)
+	defer func() {
+		if recover() != nil {
+			faulted = true
+		}
+	}()
+	p[0] = 0xFF
+	return false
+}
+
+// TestSendBuffersWriteGuardTCP: the reuse-guard table on the plain TCP
+// deposit plane. It runs on every platform; off Linux the page-aligned
+// row skips and the unaligned (checksum) row still runs.
+func TestSendBuffersWriteGuardTCP(t *testing.T) {
+	testWriteGuard(t, func(t *testing.T) *pair {
+		inj := transport.NewFaultInjector(21).Add(transport.Rule{
+			Op: transport.OpWrite, Class: transport.ClassData,
+			Kind: transport.FaultStall, Nth: 2, Delay: 400 * time.Millisecond,
+		})
+		return chaosPair(t, &transport.TCP{}, inj,
+			Options{ZeroCopy: true},
+			Options{ZeroCopy: true, CallTimeout: 5 * time.Second, DebugReuseGuard: true})
+	})
 }

@@ -314,7 +314,8 @@ func TestChaosKzcResetMidDeposit(t *testing.T) {
 // TestKzcReuseGuardFlagsEarlyWrite: with DebugReuseGuard on, mutating
 // a deposited buffer before its completion (here: a completion that
 // never arrives, so the sweeper delivers the verdict at expiry) must
-// raise KzcReuseWarnings.
+// raise ReuseWarnings. The buffer starts off a page boundary, so the
+// guard checksums it; a page-aligned one would fault the write instead.
 func TestKzcReuseGuardFlagsEarlyWrite(t *testing.T) {
 	inj := transport.NewFaultInjector(404).Add(transport.Rule{
 		Op: transport.OpWrite, Class: transport.ClassKzc,
@@ -325,7 +326,7 @@ func TestKzcReuseGuardFlagsEarlyWrite(t *testing.T) {
 		o.CallTimeout = 5 * time.Second
 		o.DebugReuseGuard = true
 	})
-	buf := zcbuf.Wrap(pattern(64 << 10))
+	buf := zcbuf.Wrap(pattern(64<<10 + 1)[1:])
 	if _, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{buf}); err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -335,7 +336,7 @@ func TestKzcReuseGuardFlagsEarlyWrite(t *testing.T) {
 	buf.Bytes()[0] ^= 0xFF
 	st := p.client.Stats()
 	waitKzc(t, "reuse-guard warning at lease expiry", func() bool {
-		return st.KzcReuseWarnings.Load() >= 1
+		return st.ReuseWarnings.Load() >= 1
 	})
 }
 

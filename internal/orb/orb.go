@@ -136,12 +136,15 @@ type Options struct {
 	// OnRequestServed, if set, observes every dispatched request
 	// after the servant returns (a server-side interceptor).
 	OnRequestServed func(op string, d time.Duration, err error)
-	// DebugReuseGuard enables the kernel zero-copy reuse guard: each
-	// MSG_ZEROCOPY deposit is checksummed at send time and re-checked
-	// when its completion (or lease expiry) fires, flagging application
-	// writes to a buffer whose pages the kernel still had pinned
-	// (Stats.KzcReuseWarnings). Debug aid only — the checksum costs a
-	// full pass over the payload, defeating the zero-copy saving.
+	// DebugReuseGuard enables the reuse guard over every buffer the
+	// application handed to a send that may still read it: each
+	// SendBuffers buffer from entry to its completion callback (every
+	// plane), and each kernel zero-copy deposit from lease grant to
+	// lease settle or expiry. Page-aligned whole-page buffers are
+	// mapped read-only on Linux, so an early store faults and never
+	// lands; every other buffer is checksummed at both ends of the
+	// window, and a mismatch counts in Stats.ReuseWarnings. Debug aid
+	// only — two mprotect calls or two payload passes per window.
 	DebugReuseGuard bool
 }
 
@@ -333,9 +336,9 @@ type Stats struct {
 	// zero-copy path to the standard marshaled path (SO_ZEROCOPY
 	// unsupported, or the connection gave up after a copied streak).
 	KzcFallbacks atomic.Int64
-	// KzcReuseWarnings counts deposit buffers the DebugReuseGuard
-	// found modified before their zero-copy completion fired.
-	KzcReuseWarnings atomic.Int64
+	// ReuseWarnings counts checksummed buffers the DebugReuseGuard
+	// found modified before their send completed, on any plane.
+	ReuseWarnings atomic.Int64
 	// GatherDeposits counts multi-segment deposit trains (two or more
 	// payload blocks coalesced into one data-plane batch);
 	// GatherSegments counts the segments inside them and
@@ -790,7 +793,7 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"kzc_completions_total", "MSG_ZEROCOPY completions reaped from the error queue.", &s.KzcCompletions},
 		{"kzc_copied_completions_total", "Zero-copy completions the kernel reported as copied.", &s.KzcCopiedCompletions},
 		{"kzc_fallbacks_total", "Invocations degraded from kernel zero-copy to the marshaled path.", &s.KzcFallbacks},
-		{"kzc_reuse_warnings_total", "Deposit buffers modified before their zero-copy completion.", &s.KzcReuseWarnings},
+		{"reuse_warnings_total", "Deposit buffers modified before their send completed.", &s.ReuseWarnings},
 		{"gather_deposits_total", "Multi-segment deposit trains sent.", &s.GatherDeposits},
 		{"gather_segments_total", "Segments inside multi-segment deposit trains.", &s.GatherSegments},
 		{"payload_gather_bytes_total", "Bytes sent inside multi-segment deposit trains.", &s.PayloadGatherBytes},

@@ -47,7 +47,7 @@ const (
 	// rest plain-written on the same channel.
 	ModeKzcCorba Mode = "kzc-corba"
 	// ModeGatherCorba is the CORBA TTCP using gathered deposits: each
-	// request carries N registered buffers as one deposit train
+	// request carries N pooled buffers as one deposit train
 	// (orb.ObjectRef.SendBuffers — a single vectored write per train,
 	// per-buffer completion callbacks gating reuse).
 	ModeGatherCorba Mode = "gather-corba"
@@ -463,11 +463,11 @@ func (g *gatherSinkServant) Invoke(op string, args []any) (any, []any, error) {
 	return n, nil, nil
 }
 
-// CorbaSendGather transmits trains of segs registered buffers through
-// the gather sink: each train is one SendBuffers invocation (a single
+// CorbaSendGather transmits trains of segs pooled buffers through the
+// gather sink: each train is one SendBuffers invocation (a single
 // vectored write carries all segs blocks), with up to window trains in
 // flight. A train's buffers are reused only after its per-buffer
-// completion callbacks report them safe, so the registered set cycles
+// completion callbacks report them safe, so the buffer set cycles
 // without copies. Blocks in the result counts blocks (trains × segs).
 func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, window int) (Result, error) {
 	if segs < 1 {
@@ -491,11 +491,10 @@ func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, wi
 	op := GatherStoreIface(segs).Ops["zputv"]
 	want := uint32(blockSize) * uint32(segs)
 
-	// One registered buffer set per window slot; a slot is reused only
-	// after its previous train's reply AND completions arrive.
+	// One buffer set per window slot; a slot is reused only after its
+	// previous train's reply AND completions arrive.
 	type slot struct {
 		bufs []*zcbuf.Buffer
-		regs []*zcbuf.Registration
 		call *orb.Call
 		free chan struct{} // one token per completed buffer
 	}
@@ -505,9 +504,6 @@ func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, wi
 		for _, s := range slots {
 			if s == nil {
 				continue
-			}
-			for _, r := range s.regs {
-				r.Close()
 			}
 			for _, b := range s.bufs {
 				b.Release()
@@ -526,13 +522,6 @@ func CorbaSendGather(client *orb.ORB, iorStr string, blockSize, trains, segs, wi
 				p[j] = byte(j)
 			}
 			s.bufs = append(s.bufs, b)
-			r, err := zcbuf.Register(b)
-			if err != nil {
-				b.Release()
-				s.bufs = s.bufs[:len(s.bufs)-1]
-				return res, err
-			}
-			s.regs = append(s.regs, r)
 		}
 		slots[k] = s
 	}

@@ -85,7 +85,7 @@ func TestCorbaBenchStandardAndZC(t *testing.T) {
 
 // TestCorbaBenchGather runs the gathered-deposit tier end to end: the
 // sink serves a zputv gather sink, and each windowed train carries its
-// registered buffers copy-free through one SendBuffers invocation.
+// pooled buffers copy-free through one SendBuffers invocation.
 func TestCorbaBenchGather(t *testing.T) {
 	sink, err := NewCorbaSinkConfig(SinkConfig{
 		Transport: &transport.TCP{}, ZeroCopy: true, GatherSegs: 4,

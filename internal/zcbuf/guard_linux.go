@@ -4,28 +4,19 @@ package zcbuf
 
 import "syscall"
 
-// The write guard is spelled mprotect on Linux. The guarded window is
+// The reuse guard is spelled mprotect on Linux. The guarded window is
 // always page-aligned and a whole number of pages inside the buffer's
-// own allocation, so the protection change can never spill onto
-// neighbouring heap objects (mprotect rounds lengths up to page
-// granularity — exactly why EnableWriteGuard enforces the shape).
-
-// guardSupported reports whether the platform can arm the guard.
-func guardSupported() error { return nil }
+// own memory, so the protection change can never spill onto
+// neighbouring heap objects (mprotect works in whole pages — exactly
+// why Guard checks the shape first).
 
 // protectRO maps p read-only: stores fault, loads (and the kernel's
 // send-side reads) proceed.
 func protectRO(p []byte) error {
-	if len(p) == 0 {
-		return nil
-	}
 	return syscall.Mprotect(p, syscall.PROT_READ)
 }
 
 // protectRW restores write access.
 func protectRW(p []byte) error {
-	if len(p) == 0 {
-		return nil
-	}
 	return syscall.Mprotect(p, syscall.PROT_READ|syscall.PROT_WRITE)
 }

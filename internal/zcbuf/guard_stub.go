@@ -2,8 +2,11 @@
 
 package zcbuf
 
-func guardSupported() error { return ErrGuardUnsupported }
+import "errors"
 
-func protectRO(p []byte) error { return ErrGuardUnsupported }
+// Without mprotect every reuse-guard window is checksummed.
+var errNoProtect = errors.New("zcbuf: page protection requires linux")
 
-func protectRW(p []byte) error { return ErrGuardUnsupported }
+func protectRO(p []byte) error { return errNoProtect }
+
+func protectRW(p []byte) error { return errNoProtect }

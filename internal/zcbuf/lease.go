@@ -62,9 +62,9 @@ type lease struct {
 	// notify, if set, fires exactly once when the lease leaves the
 	// table: notify(false) on Settle (before the buffer reference is
 	// released), notify(true) on Sweep expiry (after onExpire, before
-	// the release). Kernel zero-copy sends use it to observe the
-	// buffer while its pages are still pinned — the reuse guard's
-	// checksum-on-completion hook.
+	// the release). Kernel zero-copy sends use it while the lease
+	// still holds the buffer: an ordinary deposit closes its reuse-guard
+	// window there (Guard), a SendBuffers segment fires its completion.
 	notify func(expired bool)
 }
 
@@ -109,8 +109,7 @@ func (t *LeaseTable) Grant(b *Buffer, deadline time.Time, onExpire func()) Lease
 // reference is still held. The kernel zero-copy send path grants its
 // deposit buffers this way: the lease pins the pages until the
 // MSG_ZEROCOPY completion settles it, and the sweeper is the backstop
-// when a completion never arrives. This is the first step toward the
-// registered-buffer API on the roadmap.
+// when a completion never arrives.
 func (t *LeaseTable) GrantNotify(b *Buffer, deadline time.Time, onExpire func(), notify func(expired bool)) LeaseID {
 	b.Retain()
 	t.mu.Lock()

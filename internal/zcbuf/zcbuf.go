@@ -31,6 +31,12 @@ type Buffer struct {
 	data []byte // page-aligned window, cap = usable capacity
 	n    int    // effective length
 	refs atomic.Int32
+	// guardDepth counts the open reuse-guard windows over the buffer
+	// and guardPages the pages they hold read-only (guard.go; both
+	// under guardMu). They fill refs' word and former padding, so a
+	// Buffer still allocates 96 bytes.
+	guardDepth int32
+	guardPages int32
 	// shared, when non-nil, owns the memory behind data (a
 	// shared-memory ring view); the final Release forwards to it
 	// instead of a pool.
