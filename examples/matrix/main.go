@@ -2,7 +2,8 @@
 // the §1.2 scenario where "parallel programs based on message passing
 // middleware and classical distributed systems based on CORBA" share
 // one cluster. A master scatters row blocks of A (plus the full B) to
-// Multiplier workers and gathers the partial products of C = A·B.
+// an object group of Multiplier workers (internal/group) and gathers
+// the partial products of C = A·B.
 //
 //	go run ./examples/matrix [-n 768] [-workers 4] [-standard]
 //
@@ -19,12 +20,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
+	"zcorba/internal/group"
+	"zcorba/internal/ior"
 	"zcorba/internal/orb"
 	"zcorba/internal/transport"
 	"zcorba/internal/zcbuf"
@@ -82,13 +85,14 @@ func main() {
 		log.Fatalf("n=%d must be divisible by workers=%d", *n, *workers)
 	}
 
-	// Worker ORBs, one per node.
-	var stubs []Matrix_MultiplierStub
+	// Worker ORBs, one per node, published as one object group.
 	master, err := orb.New(orb.Options{Transport: &transport.TCP{}, ZeroCopy: zc})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer master.Shutdown()
+	var ids []string
+	var refs []*orb.ObjectRef
 	for i := 0; i < *workers; i++ {
 		w, err := orb.New(orb.Options{Transport: &transport.TCP{}, ZeroCopy: zc})
 		if err != nil {
@@ -99,11 +103,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cref, err := master.StringToObject(ref.String())
-		if err != nil {
-			log.Fatal(err)
-		}
-		stubs = append(stubs, Matrix_MultiplierStub{Ref: cref})
+		ids = append(ids, fmt.Sprintf("w-%d", i))
+		refs = append(refs, ref)
+	}
+	gior, err := group.IORFromMembers("multipliers", ior.PolicyRoundRobin, ids, refs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	farm, err := group.NewBalancer(master, gior)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	a := genMatrix(*n, 1)
@@ -112,37 +121,21 @@ func main() {
 	fmt.Printf("distributing C = A·B, n=%d (%.1f MB across the farm, zero-copy=%v)\n",
 		*n, float64(bytesMoved+(*n)*(*n)*(*workers))/1e6, zc)
 
-	rowsPer := *n / *workers
-	c := make([]byte, (*n)*(*n))
-	bBuf := zcbuf.Wrap(b)
-
+	// One scatter sends each worker its block of A's rows (n divides
+	// evenly, so BlockPartition cuts on row boundaries) with B, n and
+	// the row count broadcast; the gather reassembles C in member order.
+	rowsPer := uint32(*n / *workers)
 	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, *workers)
-	for wi := 0; wi < *workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			lo := wi * rowsPer * *n
-			hi := lo + rowsPer**n
-			block := zcbuf.Wrap(a[lo:hi])
-			defer block.Release()
-			out, err := stubs[wi].Multiply(block, bBuf, uint32(*n), uint32(rowsPer))
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			copy(c[lo:hi], out.Bytes())
-			out.Release()
-		}(wi)
+	results, err := farm.Scatter(context.Background(), Matrix_MultiplierIface.Ops["multiply"],
+		[]any{nil, b, uint32(*n), rowsPer}, 0, a, group.BlockPartition)
+	if err != nil {
+		log.Fatal(err)
 	}
-	wg.Wait()
+	c, err := group.GatherBytes(results)
+	if err != nil {
+		log.Fatal(err)
+	}
 	elapsed := time.Since(start)
-	for wi, err := range errs {
-		if err != nil {
-			log.Fatalf("worker %d: %v", wi, err)
-		}
-	}
 
 	// Verify against a local computation.
 	verifyStart := time.Now()

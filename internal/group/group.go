@@ -19,12 +19,18 @@
 // after the cooldown. A failed attempt is transparently re-run on the
 // next member, so killing a member mid-traffic loses no client call
 // (the group_test chaos cases pin this).
+//
+// Collective calls (collective.go) reach every member at once:
+// Broadcast sends the same arguments to all, and Scatter hands each
+// member its own partition of a bulk buffer. This is the data-parallel
+// CORBA direction of the paper's §1.2 (its reference [14]).
 package group
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +52,7 @@ func Activate(o *orb.ORB, name string, policy uint32, members map[string]orb.Ser
 	for id := range members {
 		ids = append(ids, id)
 	}
-	sortStrings(ids)
+	slices.Sort(ids)
 	refs := make([]*orb.ObjectRef, 0, len(members))
 	mids := make([]string, 0, len(members))
 	for _, id := range ids {
@@ -81,16 +87,6 @@ func IORFromMembers(name string, policy uint32, memberIDs []string, refs []*orb.
 		profs = append(profs, p)
 	}
 	return ior.NewMultiIIOP(refs[0].IOR().TypeID, profs...), nil
-}
-
-// sortStrings is a tiny insertion sort (the member count is small);
-// avoids importing sort for one call site.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Defaults for the health gate.

@@ -1,7 +1,9 @@
 package orb
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -156,6 +158,47 @@ func TestChaosTruncateMidDeposit(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
+// TestChaosDataPreambleFault fails the client's first data-channel
+// write, which is the 12-byte preamble of the attach in dialConn. The
+// connection comes up without a data plane, so the call completes on
+// the marshaled path, and the failed attach is counted in
+// DataChanFallbacks rather than only in ZCFallbacks.
+func TestChaosDataPreambleFault(t *testing.T) {
+	before := runtime.NumGoroutine()
+	inj := transport.NewFaultInjector(404).Add(transport.Rule{
+		Op: transport.OpWrite, Class: transport.ClassData,
+		Kind: transport.FaultReset, Nth: 1,
+	})
+	p := chaosPair(t, &transport.InProc{}, inj,
+		Options{ZeroCopy: true},
+		Options{ZeroCopy: true, CallTimeout: 5 * time.Second})
+
+	data := pattern(16 << 10)
+	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{data})
+	if err != nil {
+		t.Fatalf("invoke after preamble fault: %v", err)
+	}
+	if res.(uint32) != checksum(data) {
+		t.Fatal("checksum mismatch on the marshaled path")
+	}
+	if inj.Fired() != 1 {
+		t.Fatalf("injector fired %d faults, want 1", inj.Fired())
+	}
+	st := p.client.Stats()
+	if got := st.DataChanFallbacks.Load(); got != 1 {
+		t.Fatalf("DataChanFallbacks = %d, want 1", got)
+	}
+	if got := st.DepositsSent.Load(); got != 0 {
+		t.Fatalf("DepositsSent = %d, want 0 without a data plane", got)
+	}
+	if got := st.PayloadCopyBytes.Load(); got != int64(len(data)) {
+		t.Fatalf("PayloadCopyBytes = %d, want %d (marshaled)", got, len(data))
+	}
+	p.client.Shutdown()
+	p.server.Shutdown()
+	assertNoGoroutineLeak(t, before)
+}
+
 // TestChaosTruncatedHeader sends a partial GIOP header and disconnects.
 // The server must shrug it off and keep serving fresh connections.
 func TestChaosTruncatedHeader(t *testing.T) {
@@ -229,6 +272,47 @@ func TestChaosStalledDepositLeaseExpires(t *testing.T) {
 	p.client.Shutdown()
 	p.server.Shutdown()
 	assertNoGoroutineLeak(t, before)
+}
+
+// TestDataTokenExpiresUnclaimed connects a stray data channel that
+// announces a token no request ever references. The server's sweeper
+// must drop it (and close the channel) instead of holding the entry
+// forever.
+func TestDataTokenExpiresUnclaimed(t *testing.T) {
+	server := startServer(t, Options{ZeroCopy: true, CallTimeout: 50 * time.Millisecond})
+	dc, err := (&transport.TCP{}).Dial(net.JoinHostPort(server.dataHost, strconv.Itoa(int(server.dataPort))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	pre := make([]byte, 12)
+	copy(pre, dataPreambleMagic[:])
+	binary.BigEndian.PutUint64(pre[4:], 0xFEEDFACE)
+	if _, err := dc.Write(pre); err != nil {
+		t.Fatal(err)
+	}
+	// Token TTL is 2x the call timeout; poll well past it.
+	deadline := time.Now().Add(3 * time.Second)
+	for server.Stats().TokensExpired.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("unclaimed data token never expired")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The server closed the stray channel when it dropped the token.
+	done := make(chan error, 1)
+	go func() {
+		_, err := dc.Read(make([]byte, 1))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("expired data channel still open")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("expired data channel still open (read hangs)")
+	}
 }
 
 // TestChaosServerRestart kills the server and brings a replacement up

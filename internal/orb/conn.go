@@ -524,13 +524,11 @@ func (c *conn) writeDepositsLocked(deposits []depositSeg) (n int64, kzc bool, er
 }
 
 // zcEligible reports whether seg goes out with kernel zero-copy: a
-// pooled buffer at or above the channel's zero-copy threshold, with
-// deposit leases enabled. Completion-gated release needs the lease
-// sweeper as its backstop, so without leases the segment joins the
-// plain gather write instead.
+// pooled buffer at or above the channel's zero-copy threshold.
+// Completion-gated release has the lease sweeper as its backstop.
 func (c *conn) zcEligible(seg *depositSeg) bool {
 	return seg.buf != nil && seg.file == nil && c.zcw != nil &&
-		c.orb.leaseTTL() > 0 && len(seg.b) >= c.zcw.ZeroCopyThreshold()
+		len(seg.b) >= c.zcw.ZeroCopyThreshold()
 }
 
 // flushDsegsLocked drains the batched plain segments in one gather
@@ -807,15 +805,10 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 		// the sender aborts mid-transfer, the sweeper expires the lease,
 		// closes the data channel (unblocking this ReadFull), and the
 		// error path below returns the buffer to the pool.
-		var lid zcbuf.LeaseID
-		if ttl > 0 {
-			lid = c.orb.leases.Grant(b, time.Now().Add(ttl), c.onLeaseExpire)
-		}
+		lid := c.orb.leases.Grant(b, time.Now().Add(ttl), c.onLeaseExpire)
 		n, err := io.ReadFull(dc, b.Bytes())
 		got += int64(n)
-		if ttl > 0 {
-			c.orb.leases.Settle(lid)
-		}
+		c.orb.leases.Settle(lid)
 		if err != nil {
 			b.Release()
 			releaseAll(bufs)
@@ -845,14 +838,9 @@ func (c *conn) readDeposits(contexts []giop.ServiceContext, tc trace.Context,
 // and the caller must read the record through the copying path.
 func (c *conn) claimDirect(dr transport.DirectReader, size int,
 	ttl time.Duration) (*zcbuf.Buffer, bool, error) {
-	var lid zcbuf.LeaseID
-	if ttl > 0 {
-		lid = c.orb.leases.GrantFunc(size, time.Now().Add(ttl), c.onLeaseExpire)
-	}
+	lid := c.orb.leases.GrantFunc(size, time.Now().Add(ttl), c.onLeaseExpire)
 	view, rel, ok, err := dr.ReadDirect(size)
-	if ttl > 0 {
-		c.orb.leases.Settle(lid)
-	}
+	c.orb.leases.Settle(lid)
 	if err != nil || !ok {
 		return nil, false, err
 	}

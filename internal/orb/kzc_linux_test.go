@@ -75,61 +75,6 @@ func TestKzcDepositEndToEnd(t *testing.T) {
 	}
 }
 
-// TestKzcLeasesDisabledCopyingWrite: with deposit leases disabled
-// (negative DepositLeaseTTL) no sweeper backs up a lost MSG_ZEROCOPY
-// completion, so deposits above the kzc threshold — a single put and a
-// two-segment train alike — take the plain copying write on the data
-// channel: they arrive intact, no kzc deposit is counted, and each
-// per-buffer callback fires exactly once.
-func TestKzcLeasesDisabledCopyingWrite(t *testing.T) {
-	p := newPair(t,
-		Options{ZeroCopy: true, DataListenAddr: "kzc://127.0.0.1:0", DepositLeaseTTL: -1},
-		Options{ZeroCopy: true, DataTransport: &transport.KZC{Threshold: 4096}, DepositLeaseTTL: -1})
-	cs := p.client.Stats()
-
-	buf := zcbuf.Wrap(pattern(64 << 10))
-	res, _, err := p.ref.Invoke(storeIface.Ops["put"], []any{buf})
-	if err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if res.(uint32) != checksum(buf.Bytes()) {
-		t.Fatal("put checksum mismatch")
-	}
-
-	var pl zcbuf.Pool
-	bufs, want := gatherBufs(t, &pl, 2, 32<<10)
-	defer releaseBufs(bufs)
-	log := newCompletionLog()
-	call, err := p.ref.SendBuffers(t.Context(), storeIface.Ops["put2"], bufs, log.cb)
-	if err != nil {
-		t.Fatalf("SendBuffers: %v", err)
-	}
-	if res, _, err = call.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if res.(uint32) != want {
-		t.Fatal("train checksum mismatch")
-	}
-	waitKzc(t, "per-buffer completions", func() bool {
-		return cs.GatherCompletions.Load() == 2
-	})
-	for i, e := range log.assertOnce(t, 2) {
-		if e != nil {
-			t.Fatalf("buffer %d completion error: %v", i, e)
-		}
-	}
-
-	if n := cs.KzcDeposits.Load(); n != 0 {
-		t.Fatalf("KzcDeposits=%d, want 0 with leases disabled", n)
-	}
-	if n := cs.DepositsSent.Load(); n != 2 {
-		t.Fatalf("DepositsSent=%d, want 2 (both calls on the data channel)", n)
-	}
-	if n := cs.KzcFallbacks.Load(); n != 0 {
-		t.Fatalf("KzcFallbacks=%d, want 0", n)
-	}
-}
-
 // TestKzcReplyPath: reply deposits ride the same channel backwards —
 // the acceptor side negotiated the threshold from the promotion header
 // and enabled SO_ZEROCOPY for its own sends.

@@ -131,3 +131,12 @@ func TestManyInterfacesOneORB(t *testing.T) {
 		t.Fatalf("want BAD_OPERATION, got %v", err)
 	}
 }
+
+// TestNegativeDepositLeaseTTLRejected: deposit leases cannot be
+// switched off; New refuses a negative DepositLeaseTTL.
+func TestNegativeDepositLeaseTTLRejected(t *testing.T) {
+	if o, err := New(Options{ZeroCopy: true, DepositLeaseTTL: -1}); err == nil {
+		o.Shutdown()
+		t.Fatal("New accepted a negative DepositLeaseTTL")
+	}
+}

@@ -74,9 +74,8 @@ type Options struct {
 	Retry RetryPolicy
 	// DepositLeaseTTL bounds how long a receiver blocks waiting for an
 	// announced deposit payload before reclaiming the buffer and
-	// retiring the data channel. 0 uses CallTimeout; negative disables
-	// leasing (an aborted sender can then stall a read loop until the
-	// connection dies).
+	// retiring the data channel. 0 uses CallTimeout; negative values
+	// are rejected by New.
 	DepositLeaseTTL time.Duration
 	// FragmentThreshold splits Request/Reply bodies larger than this
 	// many bytes into GIOP Fragment messages (0 uses the 1 MiB
@@ -298,7 +297,10 @@ type Stats struct {
 	// Timeouts counts calls abandoned by the reply-wait deadline.
 	Timeouts atomic.Int64
 	// DataChanFallbacks counts invocations degraded from the ZC-deposit
-	// path to the standard marshaled path after a data-channel failure.
+	// path to the standard marshaled path after a data-channel failure,
+	// plus client connections whose data-channel attach failed (dial
+	// or 12-byte preamble write), which carry every later ZC parameter
+	// marshaled.
 	DataChanFallbacks atomic.Int64
 	// DepositAborts counts inbound bulk transfers that failed mid-read
 	// (the receiver degraded instead of closing the connection).
@@ -490,6 +492,9 @@ type dataChanEntry struct {
 // New creates an ORB, binds its listeners, and starts serving
 // immediately. Call Shutdown to release resources.
 func New(opts Options) (*ORB, error) {
+	if opts.DepositLeaseTTL < 0 {
+		return nil, fmt.Errorf("orb: negative DepositLeaseTTL %v", opts.DepositLeaseTTL)
+	}
 	o := &ORB{
 		opts:        opts,
 		tr:          opts.Transport,
@@ -613,7 +618,7 @@ func New(opts Options) (*ORB, error) {
 
 	o.wg.Add(1)
 	go o.acceptControl()
-	if opts.ZeroCopy && o.leaseTTL() > 0 {
+	if opts.ZeroCopy {
 		o.wg.Add(1)
 		go o.sweepLoop()
 	}
@@ -622,14 +627,10 @@ func New(opts Options) (*ORB, error) {
 
 // leaseTTL resolves the effective deposit-lease lifetime.
 func (o *ORB) leaseTTL() time.Duration {
-	switch {
-	case o.opts.DepositLeaseTTL < 0:
-		return 0
-	case o.opts.DepositLeaseTTL == 0:
+	if o.opts.DepositLeaseTTL == 0 {
 		return o.opts.CallTimeout
-	default:
-		return o.opts.DepositLeaseTTL
 	}
+	return o.opts.DepositLeaseTTL
 }
 
 // sweepLoop periodically expires overdue deposit leases and unclaimed
@@ -779,7 +780,7 @@ func (o *ORB) RegisterMetrics(x *trace.Exporter) {
 		{"retries_total", "Retry-policy re-invocations.", &s.Retries},
 		{"failovers_total", "Client-side profile failovers.", &s.Failovers},
 		{"timeouts_total", "Calls abandoned by the reply deadline.", &s.Timeouts},
-		{"data_chan_fallbacks_total", "Invocations degraded to the marshaled path.", &s.DataChanFallbacks},
+		{"data_chan_fallbacks_total", "Invocations or data-channel attaches degraded to the marshaled path.", &s.DataChanFallbacks},
 		{"deposit_aborts_total", "Inbound bulk transfers that failed mid-read.", &s.DepositAborts},
 		{"lease_expiries_total", "Deposit-buffer leases reclaimed by the sweeper.", &s.LeaseExpiries},
 		{"body_allocs_total", "Control-message bodies freshly allocated.", &s.BodyAllocs},
@@ -1161,8 +1162,11 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 	c := newConn(o, tc, false)
 
 	if zc != nil {
+		// A failed attach leaves the connection without a data plane:
+		// its ZC parameters take the marshaled path from here on.
 		dc, err := o.dialData(dialAddr(zc.Host, zc.Port))
 		if err != nil {
+			o.stats.DataChanFallbacks.Add(1)
 			o.logf("orb: data channel dial failed, falling back: %v", err)
 		} else {
 			token := o.nextToken()
@@ -1171,6 +1175,7 @@ func (o *ORB) dialConn(ctrlAddr string, zc *ior.ZCDeposit, stripe int) (*conn, e
 			binary.BigEndian.PutUint64(pre[4:], token)
 			if _, err := dc.Write(pre[:]); err != nil {
 				_ = dc.Close()
+				o.stats.DataChanFallbacks.Add(1)
 				o.logf("orb: data preamble write failed, falling back: %v", err)
 			} else {
 				c.attachData(dc, token)
